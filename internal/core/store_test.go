@@ -142,10 +142,13 @@ func editedLib(t *testing.T) *library.Library {
 
 // freshStoreHits maps src against a brand-new memory store and returns
 // the intra-run hit count — the baseline hits caused purely by
-// structurally duplicate cones, which any cold run exhibits.
+// structurally duplicate cones, which any cold run exhibits. The count
+// depends on scheduling (two duplicates mapped at once both miss), so the
+// run is serial, and so must be every run compared against it.
 func freshStoreHits(t *testing.T, src string, lib *library.Library, opts Options) int {
 	t.Helper()
 	o := opts
+	o.Workers = 1
 	o.Store = mapstore.NewMemory(0)
 	net := parseNet(t, src, "storetest")
 	res, err := Map(net, lib, o)
@@ -165,7 +168,7 @@ func TestStoreLibraryEditIsCold(t *testing.T) {
 	lib := editedLib(t)
 	intra := freshStoreHits(t, storeSrc, lib, Options{Mode: Async})
 	net2 := parseNet(t, storeSrc, "storetest")
-	res, err := Map(net2, lib, Options{Mode: Async, Store: store})
+	res, err := Map(net2, lib, Options{Mode: Async, Workers: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +206,12 @@ func TestStoreOptionEditIsCold(t *testing.T) {
 	lib := library.MustGet("LSI9K")
 	store := mapstore.NewMemory(0)
 	intra := freshStoreHits(t, storeSrc, lib, Options{Mode: Async})
-	if r := mapWith(t, storeSrc, Options{Mode: Async, Store: store}); r.Stats.StoreHits != intra {
+	if r := mapWith(t, storeSrc, Options{Mode: Async, Workers: 1, Store: store}); r.Stats.StoreHits != intra {
 		t.Fatalf("first run: hits=%d, want %d (intra-run only)", r.Stats.StoreHits, intra)
 	}
 	// MaxBurst changes the hazard filter: must be cold.
 	intraB := freshStoreHits(t, storeSrc, lib, Options{Mode: Async, MaxBurst: 2})
-	if r := mapWith(t, storeSrc, Options{Mode: Async, Store: store, MaxBurst: 2}); r.Stats.StoreHits != intraB {
+	if r := mapWith(t, storeSrc, Options{Mode: Async, Workers: 1, Store: store, MaxBurst: 2}); r.Stats.StoreHits != intraB {
 		t.Fatalf("MaxBurst change served %d hits, want %d (intra-run only)", r.Stats.StoreHits, intraB)
 	}
 	// Worker count is semantically transparent: must share entries.
@@ -250,7 +253,7 @@ func coneEntryKeys(t *testing.T, src string, lib *library.Library, opts Options)
 // so the next run hits.
 func TestStorePoisonedEntryRecovered(t *testing.T) {
 	lib := library.MustGet("LSI9K")
-	opts := Options{Mode: Async}
+	opts := Options{Mode: Async, Workers: 1}
 	keys := coneEntryKeys(t, storeSrc, lib, opts)
 
 	store := mapstore.NewMemory(0)

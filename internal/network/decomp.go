@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"strconv"
 
 	"gfmap/internal/bexpr"
 	"gfmap/internal/cube"
@@ -53,8 +54,11 @@ func KindOf(node *Node) GateKind {
 // so the decomposed network has exactly the hazard behaviour of the
 // original. No Boolean simplification of any kind is performed — dropping
 // a redundant cube could introduce a static 1-hazard.
+//
+// It runs in time linear in the size of the network.
 func AsyncTechDecomp(n *Network) (*Network, error) {
-	if err := n.Validate(); err != nil {
+	order, err := n.validate()
+	if err != nil {
 		return nil, err
 	}
 	out := New(n.Name + "_decomp")
@@ -63,45 +67,30 @@ func AsyncTechDecomp(n *Network) (*Network, error) {
 			return nil, err
 		}
 	}
-	d := &decomposer{src: n, dst: out, invCache: make(map[string]string)}
-	order, err := n.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+	d := &decomposer{src: n, dst: out,
+		invCache: make(map[string]string), leaves: make(map[string]*bexpr.Expr)}
 	for _, name := range order {
-		node := n.nodes[name]
-		d.created = make(map[string]bool)
-		sig, err := d.build(node.Expr, false)
+		first := len(out.order)
+		sig, err := d.build(n.nodes[name].Expr, false)
 		if err != nil {
 			return nil, err
 		}
-		// The original node name must stay valid: alias it with a buffer
-		// unless the final gate can simply take the name. To keep the
-		// structure free of extra buffers, we emit the last gate under the
-		// original name where possible. Only gates created for this node
-		// may be renamed — the signal might otherwise be another node.
 		if sig == name {
 			continue
 		}
-		if d.created[sig] && out.nodes[sig] != nil && len(d.readers(sig)) == 0 && !containsName(out.Outputs, sig) {
-			// Rename the freshly created top gate to the node name.
-			g := out.nodes[sig]
-			delete(out.nodes, sig)
-			for i, o := range out.order {
-				if o == sig {
-					out.order[i] = name
-				}
-			}
-			g.Name = name
-			out.nodes[name] = g
-			for k, v := range d.invCache {
-				if v == sig {
-					d.invCache[k] = name
-				}
-			}
+		// The original node name must stay valid. To keep the structure
+		// free of extra buffers, the top gate built for this node takes
+		// the name; a signal the node did not build (an input, another
+		// node, a cached inverter) is aliased with a buffer instead.
+		own, err := d.builtSince(first, sig)
+		if err != nil {
+			return nil, err
+		}
+		if own {
+			d.renameLast(name)
 			continue
 		}
-		if err := out.AddNode(name, bexpr.Var(sig)); err != nil {
+		if err := out.AddNode(name, d.leaf(sig)); err != nil {
 			return nil, err
 		}
 	}
@@ -116,38 +105,60 @@ func AsyncTechDecomp(n *Network) (*Network, error) {
 type decomposer struct {
 	src      *Network
 	dst      *Network
-	invCache map[string]string // signal -> name of its inverter output
-	created  map[string]bool   // gate names created for the current node
+	invCache map[string]string      // signal -> name of its inverter output
+	leaves   map[string]*bexpr.Expr // signal -> its shared variable node
 	counter  int
 }
 
-func containsName(list []string, name string) bool {
-	for _, n := range list {
-		if n == name {
-			return true
+// builtSince reports whether sig is one of the gates emitted from position
+// first of the destination order on, i.e. built for the current node. The
+// node's result is always the last gate emitted, so nothing reads it yet;
+// finding it anywhere else means the decomposer broke that invariant.
+func (d *decomposer) builtSince(first int, sig string) (bool, error) {
+	gates := d.dst.order[first:]
+	if len(gates) == 0 {
+		return false, nil
+	}
+	if gates[len(gates)-1] == sig {
+		return true, nil
+	}
+	for _, g := range gates {
+		if g == sig {
+			return false, fmt.Errorf("network: internal error: decomposed signal %q is not the last gate emitted", sig)
 		}
 	}
-	return false
+	return false, nil
 }
 
-// readers returns node names in dst reading the given signal (used only to
-// decide whether a fresh gate can be renamed; fresh gates have none).
-func (d *decomposer) readers(sig string) []string {
-	var out []string
-	for _, name := range d.dst.order {
-		for _, f := range d.dst.nodes[name].Fanins {
-			if f == sig {
-				out = append(out, name)
-			}
-		}
+// renameLast gives the last gate emitted the name of the node it computes.
+func (d *decomposer) renameLast(name string) {
+	last := len(d.dst.order) - 1
+	old := d.dst.order[last]
+	g := d.dst.nodes[old]
+	delete(d.dst.nodes, old)
+	d.dst.order[last] = name
+	g.Name = name
+	d.dst.nodes[name] = g
+	// Every inverter is cached under its fanin, so the cache follows.
+	if KindOf(g) == GateInv {
+		d.invCache[g.Fanins[0]] = name
 	}
-	return out
+}
+
+// leaf returns the one variable node shared by every gate reading sig.
+func (d *decomposer) leaf(sig string) *bexpr.Expr {
+	v := d.leaves[sig]
+	if v == nil {
+		v = bexpr.Var(sig)
+		d.leaves[sig] = v
+	}
+	return v
 }
 
 func (d *decomposer) fresh() string {
 	for {
 		d.counter++
-		name := fmt.Sprintf("g%d", d.counter)
+		name := "g" + strconv.Itoa(d.counter)
 		if !d.dst.exists(name) && !d.src.exists(name) {
 			return name
 		}
@@ -158,9 +169,6 @@ func (d *decomposer) emit(e *bexpr.Expr) (string, error) {
 	name := d.fresh()
 	if err := d.dst.AddNode(name, e); err != nil {
 		return "", err
-	}
-	if d.created != nil {
-		d.created[name] = true
 	}
 	return name, nil
 }
@@ -191,9 +199,9 @@ func (d *decomposer) build(e *bexpr.Expr, neg bool) (string, error) {
 			}
 			var gate *bexpr.Expr
 			if isAnd {
-				gate = bexpr.And(bexpr.Var(acc), bexpr.Var(sig))
+				gate = bexpr.And(d.leaf(acc), d.leaf(sig))
 			} else {
-				gate = bexpr.Or(bexpr.Var(acc), bexpr.Var(sig))
+				gate = bexpr.Or(d.leaf(acc), d.leaf(sig))
 			}
 			name, err := d.emit(gate)
 			if err != nil {
@@ -210,7 +218,7 @@ func (d *decomposer) inverter(sig string) (string, error) {
 	if inv, ok := d.invCache[sig]; ok {
 		return inv, nil
 	}
-	name, err := d.emit(bexpr.Not(bexpr.Var(sig)))
+	name, err := d.emit(bexpr.Not(d.leaf(sig)))
 	if err != nil {
 		return "", err
 	}
@@ -237,7 +245,8 @@ func IsDecomposed(n *Network) bool {
 // is why the asynchronous flow must use AsyncTechDecomp instead. The
 // function exists to make that contrast executable (see the hazard tests).
 func SyncTechDecomp(n *Network) (*Network, error) {
-	if err := n.Validate(); err != nil {
+	order, err := n.validate()
+	if err != nil {
 		return nil, err
 	}
 	simplified := New(n.Name + "_simp")
@@ -245,10 +254,6 @@ func SyncTechDecomp(n *Network) (*Network, error) {
 		if err := simplified.AddInput(in); err != nil {
 			return nil, err
 		}
-	}
-	order, err := n.TopoOrder()
-	if err != nil {
-		return nil, err
 	}
 	for _, name := range order {
 		node := n.nodes[name]

@@ -26,6 +26,9 @@ type Network struct {
 	Outputs []string
 	nodes   map[string]*Node
 	order   []string // insertion order of node names, for determinism
+
+	inputSet  map[string]bool // set view of Inputs
+	outputSet map[string]bool // set view of Outputs
 }
 
 // Node defines one internal signal as an expression over other signals.
@@ -39,7 +42,12 @@ type Node struct {
 
 // New creates an empty network.
 func New(name string) *Network {
-	return &Network{Name: name, nodes: make(map[string]*Node)}
+	return &Network{
+		Name:      name,
+		nodes:     make(map[string]*Node),
+		inputSet:  make(map[string]bool),
+		outputSet: make(map[string]bool),
+	}
 }
 
 // AddInput declares a primary input.
@@ -48,6 +56,7 @@ func (n *Network) AddInput(name string) error {
 		return fmt.Errorf("network: signal %q already defined", name)
 	}
 	n.Inputs = append(n.Inputs, name)
+	n.inputSet[name] = true
 	return nil
 }
 
@@ -67,25 +76,16 @@ func (n *Network) MarkOutput(name string) error {
 	if !n.exists(name) {
 		return fmt.Errorf("network: output %q is not a defined signal", name)
 	}
-	for _, o := range n.Outputs {
-		if o == name {
-			return nil
-		}
+	if n.outputSet[name] {
+		return nil
 	}
 	n.Outputs = append(n.Outputs, name)
+	n.outputSet[name] = true
 	return nil
 }
 
 func (n *Network) exists(name string) bool {
-	if _, ok := n.nodes[name]; ok {
-		return true
-	}
-	for _, in := range n.Inputs {
-		if in == name {
-			return true
-		}
-	}
-	return false
+	return n.nodes[name] != nil || n.inputSet[name]
 }
 
 // Node returns the defining node of a signal, or nil for primary inputs
@@ -93,14 +93,7 @@ func (n *Network) exists(name string) bool {
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
 // IsInput reports whether the name is a primary input.
-func (n *Network) IsInput(name string) bool {
-	for _, in := range n.Inputs {
-		if in == name {
-			return true
-		}
-	}
-	return false
-}
+func (n *Network) IsInput(name string) bool { return n.inputSet[name] }
 
 // NodeNames returns the internal node names in insertion order.
 func (n *Network) NodeNames() []string { return append([]string(nil), n.order...) }
@@ -111,22 +104,26 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // Validate checks that every fanin exists, every output is defined and the
 // network is acyclic.
 func (n *Network) Validate() error {
+	_, err := n.validate()
+	return err
+}
+
+// validate is Validate returning the topological order its cycle check
+// computes, so a phase that needs both sorts once.
+func (n *Network) validate() ([]string, error) {
 	for _, name := range n.order {
 		for _, f := range n.nodes[name].Fanins {
 			if !n.exists(f) {
-				return fmt.Errorf("network: node %q reads undefined signal %q", name, f)
+				return nil, fmt.Errorf("network: node %q reads undefined signal %q", name, f)
 			}
 		}
 	}
 	for _, o := range n.Outputs {
 		if !n.exists(o) {
-			return fmt.Errorf("network: undefined output %q", o)
+			return nil, fmt.Errorf("network: undefined output %q", o)
 		}
 	}
-	if _, err := n.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return n.TopoOrder()
 }
 
 // TopoOrder returns the node names in topological order (fanins first).
@@ -137,7 +134,7 @@ func (n *Network) TopoOrder() ([]string, error) {
 		black = 2
 	)
 	state := make(map[string]int, len(n.nodes))
-	var out []string
+	out := make([]string, 0, len(n.nodes))
 	var visit func(name string) error
 	visit = func(name string) error {
 		node := n.nodes[name]

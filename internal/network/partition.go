@@ -21,7 +21,8 @@ type Cone struct {
 // single-output cones in topological order (leaf-most first). Every primary
 // output and every signal read by two or more gates becomes a cone root.
 func Partition(n *Network) ([]Cone, error) {
-	if err := n.Validate(); err != nil {
+	order, err := n.validate()
+	if err != nil {
 		return nil, err
 	}
 	fan := n.FanoutCounts()
@@ -29,11 +30,7 @@ func Partition(n *Network) ([]Cone, error) {
 		if n.nodes[name] == nil {
 			return false // primary input
 		}
-		return fan[name] >= 2 || containsName(n.Outputs, name)
-	}
-	order, err := n.TopoOrder()
-	if err != nil {
-		return nil, err
+		return fan[name] >= 2 || n.outputSet[name]
 	}
 	var cones []Cone
 	for _, name := range order {
@@ -54,13 +51,16 @@ func Partition(n *Network) ([]Cone, error) {
 // root, stopping at the given boundary signals (and at primary inputs),
 // and returns the resulting expression tree. It is the tool for comparing
 // the structure of a region of one network against the same region of
-// another — e.g. a cone before and after mapping.
+// another — e.g. a cone before and after mapping. The result shares
+// unchanged subtrees with the network's node expressions.
 func ExpandToExpr(n *Network, root string, boundary map[string]bool) (*bexpr.Expr, error) {
 	return expandCone(n, root, func(name string) bool { return boundary[name] })
 }
 
 // expandCone inlines the defining expressions of non-root internal signals
-// below root, stopping at primary inputs and other roots.
+// below root, stopping at primary inputs and other roots. Expressions are
+// immutable, so a subtree that inlines nothing is returned as it is rather
+// than copied.
 func expandCone(n *Network, root string, isRoot func(string) bool) (*bexpr.Expr, error) {
 	node := n.nodes[root]
 	if node == nil {
@@ -70,11 +70,11 @@ func expandCone(n *Network, root string, isRoot func(string) bool) (*bexpr.Expr,
 	subst = func(e *bexpr.Expr) (*bexpr.Expr, error) {
 		switch e.Op {
 		case bexpr.OpConst:
-			return bexpr.Const(e.Val), nil
+			return e, nil
 		case bexpr.OpVar:
 			inner := n.nodes[e.Name]
 			if inner == nil || isRoot(e.Name) {
-				return bexpr.Var(e.Name), nil
+				return e, nil
 			}
 			return subst(inner.Expr)
 		case bexpr.OpNot:
@@ -82,15 +82,30 @@ func expandCone(n *Network, root string, isRoot func(string) bool) (*bexpr.Expr,
 			if err != nil {
 				return nil, err
 			}
+			if k == e.Kids[0] {
+				return e, nil
+			}
 			return bexpr.Not(k), nil
 		case bexpr.OpAnd, bexpr.OpOr:
-			kids := make([]*bexpr.Expr, len(e.Kids))
+			var kids []*bexpr.Expr // nil while every child is unchanged
 			for i, k := range e.Kids {
 				kk, err := subst(k)
 				if err != nil {
 					return nil, err
 				}
-				kids[i] = kk
+				if kk != k && kids == nil {
+					kids = append(make([]*bexpr.Expr, 0, len(e.Kids)), e.Kids[:i]...)
+				}
+				if kids != nil {
+					kids = append(kids, kk)
+				}
+			}
+			if kids == nil {
+				// And/Or collapse fewer than two children; keep that.
+				if len(e.Kids) >= 2 {
+					return e, nil
+				}
+				kids = e.Kids
 			}
 			if e.Op == bexpr.OpAnd {
 				return bexpr.And(kids...), nil
