@@ -153,11 +153,11 @@ func BenchmarkParallelMapping(b *testing.B) {
 	}
 }
 
-// BenchmarkMapMatchIndex isolates the Boolean-matching acceleration: the
-// same mappings with the signature-keyed library index plus symmetry
-// pruning on (the default) and off. finds/op reports the number of
-// permutation searches actually run — the Stats.FindInvocations counter —
-// so the sublinearity claim is visible next to the wall time.
+// BenchmarkMapMatchIndex measures Boolean matching through the
+// signature-keyed library index with symmetry pruning. finds/op reports
+// the number of permutation searches actually run — the
+// Stats.FindInvocations counter — and pruned/op the bindings the symmetry
+// classes collapsed, next to the wall time.
 func BenchmarkMapMatchIndex(b *testing.B) {
 	for _, designName := range []string{"scsi", "abcs"} {
 		d, err := bench.DesignByName(designName)
@@ -165,27 +165,20 @@ func BenchmarkMapMatchIndex(b *testing.B) {
 			b.Fatal(err)
 		}
 		lib := library.MustGet("Actel")
-		for _, disabled := range []bool{false, true} {
-			label := "indexed"
-			if disabled {
-				label = "unindexed"
-			}
-			b.Run(designName+"/"+label, func(b *testing.B) {
-				var finds, pruned int
-				for i := 0; i < b.N; i++ {
-					opts := core.Options{Mode: core.Async, Workers: 1,
-						HazardCache: hazcache.New(0), DisableMatchIndex: disabled}
-					res, err := core.Map(d.Net, lib, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					finds = res.Stats.FindInvocations
-					pruned = res.Stats.SymmetryPruned
+		b.Run(designName, func(b *testing.B) {
+			var finds, pruned int
+			for i := 0; i < b.N; i++ {
+				opts := core.Options{Mode: core.Async, Workers: 1, HazardCache: hazcache.New(0)}
+				res, err := core.Map(d.Net, lib, opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(finds), "finds/op")
-				b.ReportMetric(float64(pruned), "pruned/op")
-			})
-		}
+				finds = res.Stats.FindInvocations
+				pruned = res.Stats.SymmetryPruned
+			}
+			b.ReportMetric(float64(finds), "finds/op")
+			b.ReportMetric(float64(pruned), "pruned/op")
+		})
 	}
 }
 

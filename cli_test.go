@@ -117,28 +117,6 @@ func TestCLIAsyncmapFile(t *testing.T) {
 	}
 }
 
-// The -nomatchindex flag must change nothing but the matching statistics:
-// the netlist on stdout stays byte-identical (the CI smoke job diffs the
-// same pair on files).
-func TestCLIAsyncmapNoMatchIndexBitIdentical(t *testing.T) {
-	for _, mode := range []string{"sync", "async"} {
-		on, _, code := runSplit(t, "asyncmap", fig3Eqn, "-mode", mode, "-stats", "json")
-		if code != 0 {
-			t.Fatalf("indexed %s run failed (%d)", mode, code)
-		}
-		off, offErr, code := runSplit(t, "asyncmap", fig3Eqn, "-mode", mode, "-stats", "json", "-nomatchindex")
-		if code != 0 {
-			t.Fatalf("-nomatchindex %s run failed (%d)", mode, code)
-		}
-		if on != off {
-			t.Errorf("%s netlist differs with -nomatchindex:\n%s\nvs\n%s", mode, on, off)
-		}
-		if !strings.Contains(offErr, `"IndexProbes": 0`) {
-			t.Errorf("-nomatchindex stats should report zero index probes:\n%s", offErr)
-		}
-	}
-}
-
 func TestCLIAsyncmapBadInput(t *testing.T) {
 	if out, code := run(t, "asyncmap", "garbage", "-lib", "LSI9K"); code == 0 {
 		t.Errorf("garbage input should fail:\n%s", out)

@@ -80,8 +80,6 @@ func main() {
 	showPath := flag.Bool("path", false, "print the critical path")
 	statsFmt := flag.String("stats", "text", "statistics format: text or json (json goes to stderr when the netlist is on stdout)")
 	noCache := flag.Bool("nocache", false, "disable the shared hazard-analysis cache (A/B measurement)")
-	noMatchIndex := flag.Bool("nomatchindex", false, "disable the Boolean-match index and symmetry pruning (A/B measurement; netlists are bit-identical either way)")
-	noArena := flag.Bool("noarena", false, "disable the per-worker arena allocator of the covering DP (A/B measurement; netlists are bit-identical either way)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the pipeline (open in Perfetto)")
 	eventsOut := flag.String("events", "", "write the span/event log as JSONL to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) and label DP workers")
@@ -102,8 +100,7 @@ func main() {
 		fatal(err)
 	}
 	opts := core.Options{MaxDepth: *depth, MaxLeaves: *leaves, Workers: *workers,
-		MaxBurst: *maxBurst, DisableHazardCache: *noCache, DisableMatchIndex: *noMatchIndex,
-		DisableArenas: *noArena}
+		MaxBurst: *maxBurst, DisableHazardCache: *noCache}
 	switch *objective {
 	case "area":
 		opts.Objective = core.MinArea

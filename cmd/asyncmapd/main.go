@@ -65,7 +65,6 @@ func main() {
 		maxTO    = flag.Duration("maxtimeout", 5*time.Minute, "cap on client-requested deadlines")
 		maxBody  = flag.Int64("maxbody", 8<<20, "request body size limit in bytes")
 		workers  = flag.Int("workers", 0, "DP worker goroutines per request (0 = one per CPU)")
-		noArena  = flag.Bool("noarena", false, "disable the covering DP's per-worker arena allocator (A/B measurement; results are byte-identical)")
 		pprofOn  = flag.Bool("pprof", false, "serve /debug/pprof/")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		storeTo  = flag.String("store", "", "path of the persistent cone-solution store (empty = disabled); created if missing, shared across restarts")
@@ -107,7 +106,6 @@ func main() {
 		MaxTimeout:     *maxTO,
 		MaxBodyBytes:   *maxBody,
 		MapWorkers:     *workers,
-		DisableArenas:  *noArena,
 		EnablePprof:    *pprofOn,
 		Store:          store,
 	}

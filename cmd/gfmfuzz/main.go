@@ -1,9 +1,10 @@
 // Command gfmfuzz is the differential fuzzing driver for the mapping
 // pipeline: it generates seeded random networks, maps each across the
-// full option matrix (cache on/off, match index on/off, worker counts,
-// context on/off) in both modes, and asserts the pipeline's invariants —
-// byte-identical netlists, deterministic stats, well-formed netlists,
-// functional equivalence, hazard non-introduction, parser round trips.
+// full option matrix (cache on/off, worker counts, context on/off, store
+// cold/warm and delta) in both modes, and asserts the pipeline's
+// invariants — byte-identical netlists, deterministic stats, well-formed
+// netlists, functional equivalence, hazard non-introduction, parser round
+// trips.
 //
 // Failing designs are shrunk to minimal reproducers and written to
 // -out (testdata/regressions by default). Exit status is non-zero when

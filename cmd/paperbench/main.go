@@ -33,7 +33,6 @@ func main() {
 	jsonLib := flag.String("lib", "LSI9K", "cell library for the -json report")
 	runs := flag.Int("runs", 1, "map each design this many times in the -json report, keeping the fastest wall time")
 	noSynth := flag.Bool("nosynth", false, "restrict the -json report to the paper suite (no synthetic scaling corpus)")
-	noArena := flag.Bool("noarena", false, "map the -json report with the covering DP's arena allocator disabled (A/B the allocs_per_op/bytes_per_op rows; results are byte-identical)")
 	dump := flag.String("dump", "", "write one benchmark design (by Table 5 name) as BLIF to stdout and exit; feeds the serving smoke tests")
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		if err := writeJSONReport(*jsonOut, *jsonLib, bench.ReportOptions{Runs: *runs, NoSynthetic: *noSynth, NoArenas: *noArena}); err != nil {
+		if err := writeJSONReport(*jsonOut, *jsonLib, bench.ReportOptions{Runs: *runs, NoSynthetic: *noSynth}); err != nil {
 			fail(err)
 		}
 		return

@@ -119,11 +119,6 @@ type ReportOptions struct {
 	Runs int
 	// NoSynthetic restricts the corpus to the paper suite.
 	NoSynthetic bool
-	// NoArenas maps every design with core.Options.DisableArenas, i.e.
-	// the historical per-call allocation path. Netlists and deterministic
-	// stats are identical either way; the per-design allocs_per_op /
-	// bytes_per_op rows are what the A/B is for.
-	NoArenas bool
 }
 
 // JSONReport maps the benchmark corpus onto the named library in
@@ -159,7 +154,7 @@ func JSONReport(libName string, opts ReportOptions) (*Report, error) {
 		Synthetic:   !opts.NoSynthetic,
 	}
 	for _, d := range ds {
-		dr, err := benchDesign(d, lib, runs, opts.NoArenas)
+		dr, err := benchDesign(d, lib, runs)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +166,7 @@ func JSONReport(libName string, opts ReportOptions) (*Report, error) {
 // benchDesign maps one design runs times and keeps the fastest run's
 // wall time and allocation deltas alongside the (run-invariant) QoR and
 // metrics snapshot of the final run.
-func benchDesign(d *Design, lib *library.Library, runs int, noArenas bool) (DesignReport, error) {
+func benchDesign(d *Design, lib *library.Library, runs int) (DesignReport, error) {
 	var (
 		bestWall   time.Duration
 		bestAllocs uint64
@@ -184,7 +179,7 @@ func benchDesign(d *Design, lib *library.Library, runs int, noArenas bool) (Desi
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		rr, err := core.AsyncTmap(d.Net, lib, core.Options{Metrics: reg, DisableArenas: noArenas})
+		rr, err := core.AsyncTmap(d.Net, lib, core.Options{Metrics: reg})
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {

@@ -3,13 +3,14 @@ package core
 // Per-worker arena allocation for the covering DP hot path.
 //
 // The cut → match → hazard pipeline is invoked once per (node, cut, phase,
-// cell) tuple and historically allocated on almost every step: merged cut
+// cell) tuple. Allocated per call, its transient memory — merged cut
 // slices, cluster expression trees, truth-table words, signature vectors,
-// binding scratch. All of that transient memory now comes from a
-// coneScratch: a bundle of bump arenas, epoch-stamped mark slices and
-// reusable buffers owned by exactly one DP worker at a time and reset once
-// per cone (or once per cut, for the shortest-lived surfaces) instead of
-// freed per call.
+// binding scratch — costs an allocation on almost every step (the
+// allocating DP survives as the test oracle in dp_ref_test.go). All of it
+// instead comes from a coneScratch: a bundle of bump arenas, epoch-stamped
+// mark slices and reusable buffers owned by exactly one DP worker at a
+// time and reset once per cone (or once per cut, for the shortest-lived
+// surfaces) instead of freed per call.
 //
 // Ownership rule: a coneScratch is touched by one goroutine at a time,
 // never shared, never locked. Workers take one from scratchPool, use it
@@ -18,9 +19,6 @@ package core
 // state cannot resurface; error returns (including cancellation) leave
 // the scratch structurally consistent and scrubbing severs every pointer
 // to request-scoped data before the pool sees it.
-//
-// Options.DisableArenas (mapper.sc == nil) restores the historical
-// per-call allocation behaviour; results are byte-identical either way.
 
 import (
 	"strconv"
@@ -157,7 +155,7 @@ func varName(i int) string {
 //     simply fails the current-epoch comparison;
 //   - the cuts arena holds committed cut node lists and resets per cone;
 //   - the tmp arena holds in-flight cut combinations and resets per
-//     top-level enumCuts call;
+//     enumCuts call;
 //   - the exprs arena holds cluster expression trees and resets per cut.
 type coneScratch struct {
 	epoch int64
@@ -196,13 +194,6 @@ type coneScratch struct {
 	fn  bexpr.Function // the cluster function, Reset per cut
 	mc  matchCtx       // binding visitor, rebound per tryCell
 	msc match.Scratch  // permutation-search state
-
-	// enumActive guards enumCuts re-entrancy: when a memoized child entry
-	// was nil (every cut filtered) the parent's enumeration recurses while
-	// the scratch buffers above are live, so the nested call falls back to
-	// heap-local buffers. This preserves the historical work counters
-	// exactly — no extra enumeration pass is introduced.
-	enumActive bool
 }
 
 // stamp advances the epoch and returns marks resized to n. Entries are
@@ -227,7 +218,6 @@ func (sc *coneScratch) beginCone() {
 	sc.cuts.reset()
 	sc.tmp.reset()
 	sc.exprs.reset()
-	sc.enumActive = false
 }
 
 // scrub severs every pointer from the scratch to request-scoped data —
@@ -250,7 +240,6 @@ func (sc *coneScratch) scrub() {
 	clear(sc.demand)
 	clear(sc.keyBuf[:cap(sc.keyBuf)])
 	sc.keyBuf = sc.keyBuf[:0]
-	sc.enumActive = false
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(coneScratch) }}
@@ -266,9 +255,10 @@ func releaseScratch(sc *coneScratch) {
 }
 
 // mergeCutInto merges two sorted, duplicate-free node lists into dst
-// (zero length, capacity ≥ len(a)+len(b)). Equivalent to the historical
-// concatenate+sort+dedupe on such inputs — which is all the enumeration
-// ever produces — without the per-pair allocation.
+// (zero length, capacity ≥ len(a)+len(b)). Equivalent to
+// concatenate+sort+dedupe (mergeCut in dp_ref_test.go) on such inputs —
+// which is all the enumeration ever produces — without the per-pair
+// allocation.
 func mergeCutInto(a, b, dst []int) []int {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

@@ -2,8 +2,9 @@ package core
 
 // Tests for the per-worker arena allocation of the covering DP hot path:
 // arena primitives, the allocation-pattern bugfixes (mergeCutInto,
-// epoch-stamped distinctSignals, scratch-backed cut enumeration), the
-// per-cone allocation budgets, and the pool-hygiene guarantees.
+// epoch-stamped distinctSignals, scratch-backed cut enumeration) checked
+// against the allocating reference DP (dp_ref_test.go), the per-cone
+// allocation budgets, and the pool-hygiene guarantees.
 
 import (
 	"fmt"
@@ -18,15 +19,23 @@ import (
 	"gfmap/internal/network"
 )
 
-// arenaTestMapper decomposes and partitions src and returns a mapper set
-// up exactly like mapPipeline would (serial, arena scratch attached when
-// arenas is true), plus the design's cones. The caller owns the scratch;
-// it is intentionally never released back to the pool.
-func arenaTestMapper(t testing.TB, src string, arenas bool) (*mapper, []network.Cone) {
+// arenaTestMapper is newTestMapper for src mapped asynchronously on
+// LSI9K with a private hazard cache.
+func arenaTestMapper(t testing.TB, src string, scratch bool) (*mapper, []network.Cone) {
 	t.Helper()
-	net := parseNet(t, src, "arena")
-	lib := library.MustGet("LSI9K")
-	if !lib.Annotated() {
+	return newTestMapper(t, parseNet(t, src, "arena"), library.MustGet("LSI9K"),
+		Options{Mode: Async, Workers: 1, HazardCache: hazcache.New(0)}, scratch)
+}
+
+// newTestMapper decomposes and partitions net and returns a mapper set up
+// exactly like a serial mapPipeline would, plus the design's cones. With
+// scratch set it carries a pooled arena scratch, which the production DP
+// needs and the reference DP never touches. The caller owns the scratch;
+// it is intentionally never released back to the pool.
+func newTestMapper(t testing.TB, net *network.Network, lib *library.Library, opts Options, scratch bool) (*mapper, []network.Cone) {
+	t.Helper()
+	opts = opts.withDefaults()
+	if opts.Mode == Async && !lib.Annotated() {
 		if err := lib.Annotate(); err != nil {
 			t.Fatal(err)
 		}
@@ -39,13 +48,18 @@ func arenaTestMapper(t testing.TB, src string, arenas bool) (*mapper, []network.
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Mode: Async, Workers: 1, HazardCache: hazcache.New(0)}.withDefaults()
 	m := &mapper{lib: lib, opts: opts, netlist: NewNetlist(net.Name, net.Inputs, net.Outputs),
-		tid: 1, met: newMetricSet(nil)}
+		tid: 1, met: newMetricSet(nil), reserved: make(map[string]bool)}
+	for _, name := range dec.NodeNames() {
+		m.reserved[name] = true
+	}
+	for _, in := range dec.Inputs {
+		m.reserved[in] = true
+	}
 	if err := m.ensureCells(); err != nil {
 		t.Fatal(err)
 	}
-	if arenas {
+	if scratch {
 		m.sc = acquireScratch()
 	}
 	return m, cones
@@ -153,7 +167,7 @@ func TestMergeCutInto(t *testing.T) {
 	}
 }
 
-// The memoised cut table must be byte-identical to the historical
+// The memoised cut table must be byte-identical to the reference's
 // allocating enumeration, and — because parents merge straight out of
 // their children's memoised entries — later merges must never mutate a
 // committed entry. Running the full DP after enumeration exercises every
@@ -169,7 +183,7 @@ func TestCutMemoMatchesSlowPathAndSurvivesDP(t *testing.T) {
 		for ci := range conesA {
 			ref, _ := newConeMapper(t, ms, conesS[ci])
 			for id := range ref.nodes {
-				ref.enumCuts(id)
+				ref.enumCutsSlow(id)
 			}
 			cm, _ := newConeMapper(t, ma, conesA[ci])
 			if err := cm.dp(); err != nil {
@@ -195,20 +209,17 @@ func TestCutMemoMatchesSlowPathAndSurvivesDP(t *testing.T) {
 	}
 }
 
-// distinctSignals with a scratch must agree with the historical map-based
-// count on every enumerated cut, and must not allocate at all.
+// distinctSignals must agree with the reference's map-based count on
+// every enumerated cut, and must not allocate at all.
 func TestDistinctSignalsScratch(t *testing.T) {
 	m, cones := arenaTestMapper(t, bigCtxSrc(1), true)
 	cm, root := newConeMapper(t, m, cones[0])
 	cm.enumCuts(root)
-	sc := cm.sc
 	checked := 0
 	for id := range cm.cuts {
 		for _, c := range cm.cuts[id] {
 			got := cm.distinctSignals(c.nodes)
-			cm.sc = nil
-			want := cm.distinctSignals(c.nodes)
-			cm.sc = sc
+			want := cm.distinctSignalsSlow(c.nodes)
 			if got != want {
 				t.Fatalf("node %d cut %v: distinctSignals = %d, want %d", id, c.nodes, got, want)
 			}
@@ -233,7 +244,7 @@ func TestDistinctSignalsScratch(t *testing.T) {
 
 // BenchmarkDistinctSignals is the regression benchmark for the
 // map-per-combo allocation bug: the scratch path must report 0 allocs/op
-// where the historical path pays a map per call.
+// where the reference pays a map per call.
 func BenchmarkDistinctSignals(b *testing.B) {
 	m, cones := arenaTestMapper(b, bigCtxSrc(1), true)
 	cm, root := newConeMapper(b, m, cones[0])
@@ -243,7 +254,6 @@ func BenchmarkDistinctSignals(b *testing.B) {
 			widest = c.nodes
 		}
 	}
-	sc := cm.sc
 	b.Run("scratch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -251,11 +261,9 @@ func BenchmarkDistinctSignals(b *testing.B) {
 		}
 	})
 	b.Run("map", func(b *testing.B) {
-		cm.sc = nil
-		defer func() { cm.sc = sc }()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cm.distinctSignals(widest)
+			cm.distinctSignalsSlow(widest)
 		}
 	})
 }
@@ -263,35 +271,42 @@ func BenchmarkDistinctSignals(b *testing.B) {
 // Per-cone allocation budgets for the full cut → match → hazard pipeline.
 // The absolute ceiling catches allocation-pattern regressions in CI long
 // before they show up on wall-clock benchmarks; the relative bound pins
-// the arena path's advantage over the historical allocating path.
+// the arena path's advantage over the allocating reference DP.
 func TestConeCoverAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is meaningless under -short's noise")
 	}
-	run := func(arenas bool) float64 {
-		m, cones := arenaTestMapper(t, bigCtxSrc(1), arenas)
-		cone := cones[0]
-		if _, err := m.prepareCone(cone); err != nil { // warm hazard cache + scratch growth
+	// Each side solves the cone once first, to warm the hazard cache and
+	// grow the scratch.
+	m, cones := arenaTestMapper(t, bigCtxSrc(1), true)
+	cone := cones[0]
+	prod := func() {
+		if _, err := m.prepareCone(cone); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := m.prepareCone(cone); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
-	withArenas := run(true)
-	without := run(false)
-	// Measured ~0.7k with arenas vs ~9k without on the seed corpus; the
-	// ceilings leave headroom for library evolution without letting a
-	// per-cut or per-binding allocation sneak back into the loop.
+	prod()
+	withArenas := testing.AllocsPerRun(5, prod)
+	mr, _ := arenaTestMapper(t, bigCtxSrc(1), false)
+	rm := newRefMatch(mr.lib, false)
+	ref := func() {
+		cm, _ := newConeMapper(t, mr, cone)
+		if err := cm.dpSlow(rm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref()
+	oracle := testing.AllocsPerRun(5, ref)
+	// Measured 440 with arenas vs ~20k for the reference; the ceilings
+	// leave headroom for library evolution without letting a per-cut or
+	// per-binding allocation sneak back into the loop.
 	const budget = 2500
 	if withArenas > budget {
 		t.Errorf("arena cone covering allocates %.0f objects, budget %d", withArenas, budget)
 	}
-	if withArenas*3 > without {
-		t.Errorf("arena path allocates %.0f objects vs %.0f without arenas; want at least 3x reduction",
-			withArenas, without)
+	if withArenas*3 > oracle {
+		t.Errorf("arena path allocates %.0f objects vs %.0f for the reference DP; want at least 3x reduction",
+			withArenas, oracle)
 	}
 }
 

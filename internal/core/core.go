@@ -125,23 +125,6 @@ type Options struct {
 	// analyses are then memoised per cone only. Intended for A/B
 	// measurement, not for production use.
 	DisableHazardCache bool
-	// DisableMatchIndex turns off the library's signature-keyed match
-	// index and the symmetry pruning of the Boolean matcher, reverting to
-	// probing every same-pin-count cell with the full permutation search.
-	// The acceleration is semantically transparent — mapped netlists are
-	// bit-identical either way — so this exists for A/B measurement and
-	// bit-identity smoke tests only.
-	DisableMatchIndex bool
-	// DisableArenas turns off the per-worker arena allocator of the
-	// covering DP hot path, reverting every transient allocation (cut
-	// merges, cluster functions, truth tables, signatures, binding
-	// scratch) to the historical per-call heap path. Arenas are
-	// semantically transparent — mapped netlists and deterministic work
-	// counters are byte-identical either way (the diffcheck harness
-	// exercises exactly this axis) — so, like Workers, this knob is
-	// excluded from the store/delta option hash; it exists for A/B
-	// measurement and debugging, not production use.
-	DisableArenas bool
 
 	// Store, when non-nil, memoizes per-cone covering solutions in a
 	// content-addressed mapstore keyed by canonical cone signature ×
@@ -259,8 +242,7 @@ type Stats struct {
 	// IndexSkippedCells counts same-pin-count cells the index proved
 	// unmatchable without a search; SymmetryPruned counts bindings the
 	// symmetry classes collapsed away (orbit size minus the enumerated
-	// representative, summed over matches). The last three are zero when
-	// Options.DisableMatchIndex is set.
+	// representative, summed over matches).
 	FindInvocations   int
 	IndexProbes       int
 	IndexSkippedCells int
@@ -424,13 +406,12 @@ func MapDelta(prev *Result, net *network.Network, lib *library.Library, opts Opt
 // mapstore entry key and of a delta seed's compatibility tag. Fields that
 // are semantically transparent (Workers, hazard-cache selection, tracing,
 // metrics, context, RequestID) are deliberately excluded so runs differing
-// only in them share entries. DisableMatchIndex does not change the netlist but
-// does change the deterministic matching counters replayed from a
-// solution, so it must fork the key space. opts must already have
-// defaults applied, so explicit defaults and zero values hash alike.
+// only in them share entries. opts must already have defaults applied, so
+// explicit defaults and zero values hash alike.
 func optionHash(o Options) string {
-	return fmt.Sprintf("mode=%d;obj=%d;depth=%d;leaves=%d;bindings=%d;burst=%d;noindex=%t",
-		o.Mode, o.Objective, o.MaxDepth, o.MaxLeaves, o.MaxBindings, o.MaxBurst, o.DisableMatchIndex)
+	// The last field is a removed option, kept so older store entries stay warm.
+	return fmt.Sprintf("mode=%d;obj=%d;depth=%d;leaves=%d;bindings=%d;burst=%d;noindex=false",
+		o.Mode, o.Objective, o.MaxDepth, o.MaxLeaves, o.MaxBindings, o.MaxBurst)
 }
 
 func mapPipeline(net *network.Network, lib *library.Library, opts Options, seed *deltaState) (*Result, error) {
@@ -480,16 +461,14 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options, seed 
 		return nil, err
 	}
 	nl := NewNetlist(net.Name, net.Inputs, net.Outputs)
-	m := &mapper{lib: lib, opts: opts, netlist: nl, tid: 1, met: newMetricSet(opts.Metrics)}
 	// Serial covering runs draw transient DP memory from a pooled arena
 	// scratch (parallel workers acquire their own in prepareCones). The
 	// scratch is returned to the pool only on the success path below: an
 	// error or cancellation mid-run drops it to the GC instead, so a
 	// canceled request can never leak partially-written state — or any
 	// request-scoped data — into a scratch the next request would reuse.
-	if !opts.DisableArenas {
-		m.sc = acquireScratch()
-	}
+	m := &mapper{lib: lib, opts: opts, netlist: nl, tid: 1, met: newMetricSet(opts.Metrics),
+		sc: acquireScratch()}
 	// Solution-reuse identity: the library fingerprint is taken *after*
 	// annotation (annotation changes matching behaviour, so pre- and
 	// post-annotation runs must not share solutions). A delta seed
@@ -570,10 +549,8 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options, seed 
 	for _, pc := range prepared {
 		ds.solutions[pc.coneKey] = pc.encoded
 	}
-	if m.sc != nil {
-		releaseScratch(m.sc)
-		m.sc = nil
-	}
+	releaseScratch(m.sc)
+	m.sc = nil
 	return &Result{Netlist: nl, Area: area, Delay: delay, Stats: m.stats, delta: ds}, nil
 }
 

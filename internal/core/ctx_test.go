@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -184,21 +185,18 @@ func TestMapContextCancelLeavesPoolClean(t *testing.T) {
 			releaseScratch(sc)
 		}
 		// The next request, reusing pooled worker state, maps byte-identically
-		// to a clean-room run with arenas disabled.
+		// to a clean-room run of the reference DP, which has no scratch.
 		clean := parseNet(t, bigCtxSrc(4), "after-cancel")
 		got, err := Map(clean, lib, Options{Mode: Async, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Map(parseNet(t, bigCtxSrc(4), "after-cancel"), lib,
-			Options{Mode: Async, Workers: 1, DisableArenas: true})
-		if err != nil {
-			t.Fatal(err)
+		wantNl, wantStats := mapSlow(t, parseNet(t, bigCtxSrc(4), "after-cancel"), lib,
+			Options{Mode: Async, Workers: 1}, false)
+		if g := got.Netlist.String(); g != wantNl {
+			t.Fatalf("workers=%d: netlist after cancelled request diverged from clean-room run:\n--- got ---\n%s--- want ---\n%s", workers, g, wantNl)
 		}
-		if g, w := got.Netlist.String(), want.Netlist.String(); g != w {
-			t.Fatalf("workers=%d: netlist after cancelled request diverged from clean-room run:\n--- got ---\n%s--- want ---\n%s", workers, g, w)
-		}
-		if g, w := got.Stats.Deterministic(), want.Stats.Deterministic(); g != w {
+		if g, w := got.Stats.Deterministic(), wantStats.Deterministic(); g != w {
 			t.Fatalf("workers=%d: deterministic stats diverged: %+v vs %+v", workers, g, w)
 		}
 	}
@@ -206,14 +204,33 @@ func TestMapContextCancelLeavesPoolClean(t *testing.T) {
 
 // A panic while covering one cone on a parallel worker must surface as an
 // error on that cone, not crash the process: a long-lived mapping service
-// cannot afford a poisoned request taking down its neighbours.
+// cannot afford a poisoned request taking down its neighbours. The worker
+// then drops the scratch the panic may have left half-updated and maps its
+// next cone on a fresh one, exactly as a clean worker would.
 func TestPrepareConeIsolatedConvertsPanic(t *testing.T) {
-	m := &mapper{opts: Options{}.withDefaults()}
-	// A constant-expression cone makes buildTree return an error path, but
-	// to exercise the recover we need a genuine panic: a nil library makes
-	// prepareCone dereference nil when enumerating cells.
+	m, cones := arenaTestMapper(t, simpleSrc, true)
+	first := m.sc
+	// A cone without an expression makes prepareCone dereference nil: a
+	// genuine panic on the worker.
 	_, err := prepareConeIsolated(m, network.Cone{Root: "boom"})
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic conversion", err)
+	}
+	if m.sc == nil || m.sc == first {
+		t.Fatal("worker kept the scratch of the panicked cone")
+	}
+	clean, _ := arenaTestMapper(t, simpleSrc, true)
+	for _, cone := range cones {
+		got, err := prepareConeIsolated(m, cone)
+		if err != nil {
+			t.Fatalf("cone %s after the panic: %v", cone.Root, err)
+		}
+		want, err := clean.prepareCone(cone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.encoded, want.encoded) {
+			t.Errorf("cone %s: solution after the panic differs from a clean worker's", cone.Root)
+		}
 	}
 }

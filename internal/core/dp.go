@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -55,9 +54,7 @@ type mapper struct {
 	polls int
 
 	// sc is the arena scratch this mapper's covering DP draws transient
-	// memory from; one goroutine owns it at a time. Nil selects the
-	// historical allocating path (Options.DisableArenas, or a worker whose
-	// scratch was dropped after a recovered panic).
+	// memory from; one goroutine owns it at a time.
 	sc *coneScratch
 
 	inv        *library.Cell
@@ -147,9 +144,8 @@ type coneMapper struct {
 	// sc is set (from the mapper) only while the covering DP solves this
 	// cone; emission and solution replay never touch it. sigID/numSigs
 	// give each node a dense signal identity (leaves sharing a signal name
-	// share an id) so the arena path counts distinct cluster inputs with
-	// epoch marks instead of string maps — the equivalence classes are
-	// exactly those of signalOf.
+	// share an id, every internal node has its own) so distinct cluster
+	// inputs are counted with epoch marks instead of string maps.
 	sc      *coneScratch
 	sigID   []int
 	numSigs int
@@ -267,10 +263,9 @@ func (m *mapper) prepareCone(cone network.Cone) (*preparedCone, error) {
 		for i := range cm.nodes {
 			cm.nodes[i].cost = [2]cost{infCost, infCost}
 		}
-		if cm.sc = m.sc; cm.sc != nil {
-			cm.sc.beginCone()
-			cm.assignSigIDs()
-		}
+		cm.sc = m.sc
+		cm.sc.beginCone()
+		cm.assignSigIDs()
 		dsp := tr.StartSpanOn(m.tid, "dp")
 		err = cm.dp()
 		dsp.End()
@@ -377,10 +372,7 @@ func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, error) {
 			shadow := &mapper{lib: m.lib, opts: m.opts, netlist: m.netlist,
 				inv: m.inv, bufCell: m.bufCell, tid: w + 1, met: m.met,
 				reserved: m.reserved, store: m.store, seed: m.seed,
-				libFP: m.libFP, optHash: m.optHash}
-			if !m.opts.DisableArenas {
-				shadow.sc = acquireScratch()
-			}
+				libFP: m.libFP, optHash: m.optHash, sc: acquireScratch()}
 			clean := true
 			// Workers always drain the jobs channel — on cancellation they
 			// skip the work per cone rather than stop receiving, so the
@@ -406,8 +398,8 @@ func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, error) {
 			// Pool the scratch only after an all-clean run: an error or a
 			// cancellation drops it, so no partially-built or
 			// request-scoped state can reach the next request (a panic
-			// already nil'd it in prepareConeIsolated).
-			if shadow.sc != nil && clean {
+			// already replaced it in prepareConeIsolated).
+			if clean {
 				releaseScratch(shadow.sc)
 			}
 		}(w)
@@ -446,9 +438,9 @@ func prepareConeIsolated(m *mapper, cone network.Cone) (pc *preparedCone, err er
 	defer func() {
 		if r := recover(); r != nil {
 			// The scratch may be mid-update at the panic point: drop it
-			// (never pool it) and let subsequent cones on this worker run
-			// the allocating path — results are identical either way.
-			m.sc = nil
+			// (never pool it) and give the worker's later cones a fresh
+			// one.
+			m.sc = new(coneScratch)
 			pc, err = nil, fmt.Errorf("panic in covering DP: %v", r)
 		}
 	}()
@@ -484,24 +476,12 @@ func (cm *coneMapper) buildTree(e *bexpr.Expr) (int, error) {
 	return -1, fmt.Errorf("bad expression op %d", e.Op)
 }
 
-// signalOf returns a stable per-node signal identity used to count the
-// distinct inputs of a cluster: cone leaves share their signal name,
-// internal nodes are their own signal.
-func (cm *coneMapper) signalOf(id int) string {
-	n := &cm.nodes[id]
-	if n.op == bexpr.OpVar {
-		return n.signal
-	}
-	return fmt.Sprintf("\x00n%d", id)
-}
-
-// assignSigIDs precomputes, for the arena path, a dense integer signal
-// identity per tree node with exactly signalOf's equivalence classes:
-// leaves sharing a signal name share an id, every internal node is its own
-// (leaf names cannot collide with the "\x00n<id>" internal identities, so
-// the classes split the same way). The leaf-name map is deliberately
-// heap-allocated per cone — signal names are request-scoped and must never
-// be retained by the pooled scratch, whose sigIDs buffer holds only ints.
+// assignSigIDs precomputes a dense integer signal identity per tree node,
+// the identity distinct cluster inputs are counted by: leaves sharing a
+// signal name share an id, every internal node is its own signal. The
+// leaf-name map is deliberately heap-allocated per cone — signal names are
+// request-scoped and must never be retained by the pooled scratch, whose
+// sigIDs buffer holds only ints.
 func (cm *coneMapper) assignSigIDs() {
 	sc := cm.sc
 	if cap(sc.sigIDs) < len(cm.nodes) {
@@ -536,29 +516,24 @@ func (cm *coneMapper) assignSigIDs() {
 const maxCutsPerNode = 1500
 
 // enumCuts returns the cluster cuts available below node id (memoised).
-// With an arena scratch attached, the combo cross product lives in the
-// scratch's tmp arena and ping-pong generation buffers, and only the cuts
-// surviving the depth/leaf filter are committed to the per-cone cuts
-// arena; the allocating fallback in enumCutsSlow is otherwise identical.
+// The combo cross product lives in the scratch's tmp arena and ping-pong
+// generation buffers, and only the cuts surviving the depth/leaf filter
+// are committed to the per-cone cuts arena. Every child is enumerated
+// before those buffers go live, so the recursion never re-enters a live
+// enumeration.
 func (cm *coneMapper) enumCuts(id int) []cutEntry {
 	if cm.cuts[id] != nil {
 		return cm.cuts[id]
-	}
-	sc := cm.sc
-	if sc == nil || sc.enumActive {
-		// No scratch — or a nested re-enumeration: a child memoised as nil
-		// (every cut filtered) re-enumerates inside the parent's pass while
-		// the combo buffers are live, so it runs on heap-local buffers.
-		// Either way the slow path is the historical one, with identical
-		// work counters.
-		return cm.enumCutsSlow(id)
 	}
 	n := &cm.nodes[id]
 	if n.op == bexpr.OpVar {
 		cm.cuts[id] = []cutEntry{}
 		return cm.cuts[id]
 	}
-	sc.enumActive = true
+	for _, kid := range n.kids {
+		cm.enumCuts(kid)
+	}
+	sc := cm.sc
 	sc.tmp.reset()
 	// Each child contributes either itself as a cut point or one of its own
 	// cuts; combine across children.
@@ -571,7 +546,7 @@ func (cm *coneMapper) enumCuts(id int) []cutEntry {
 	next := sc.comboB[:0]
 	for _, kid := range n.kids {
 		kidOpts := append(sc.kidOpts[:0], cutEntry{nodes: append(sc.tmp.alloc(1), kid)})
-		kidOpts = append(kidOpts, cm.enumCuts(kid)...)
+		kidOpts = append(kidOpts, cm.cuts[kid]...)
 		sc.kidOpts = kidOpts
 		next = next[:0]
 	combine:
@@ -616,7 +591,6 @@ func (cm *coneMapper) enumCuts(id int) []cutEntry {
 		}
 	}
 	sc.comboA, sc.comboB = combos, next
-	sc.enumActive = false
 	if truncated {
 		cm.m.stats.CutTruncations++
 	}
@@ -625,174 +599,33 @@ func (cm *coneMapper) enumCuts(id int) []cutEntry {
 	return out
 }
 
-// enumCutsSlow is the allocating cut enumeration — the historical code
-// path, kept verbatim for DisableArenas and for nested re-enumeration.
-func (cm *coneMapper) enumCutsSlow(id int) []cutEntry {
-	n := &cm.nodes[id]
-	var out []cutEntry
-	if n.op == bexpr.OpVar {
-		cm.cuts[id] = []cutEntry{}
-		return cm.cuts[id]
-	}
-	depthAdd := 1
-	if n.op == bexpr.OpNot {
-		depthAdd = 0
-	}
-	truncated := false
-	combos := []cutEntry{{nodes: nil, depth: 0}}
-	for _, kid := range n.kids {
-		var kidOpts []cutEntry
-		kidOpts = append(kidOpts, cutEntry{nodes: []int{kid}, depth: 0})
-		for _, e := range cm.enumCuts(kid) {
-			kidOpts = append(kidOpts, e)
-		}
-		var next []cutEntry
-	combine:
-		for _, base := range combos {
-			for _, opt := range kidOpts {
-				merged := mergeCut(base.nodes, opt.nodes)
-				d := base.depth
-				if opt.depth > d {
-					d = opt.depth
-				}
-				next = append(next, cutEntry{nodes: merged, depth: d})
-				if len(next) > 4*maxCutsPerNode {
-					// Combo explosion: abandon the whole cross product, not
-					// just the current base, so the bound actually bounds.
-					truncated = true
-					break combine
-				}
-			}
-		}
-		combos = next
-	}
-	for ci, c := range combos {
-		depth := c.depth + depthAdd
-		if depth > cm.m.opts.MaxDepth {
-			continue
-		}
-		if cm.distinctSignals(c.nodes) > cm.m.opts.MaxLeaves {
-			continue
-		}
-		out = append(out, cutEntry{nodes: c.nodes, depth: depth})
-		if len(out) >= maxCutsPerNode {
-			if ci < len(combos)-1 {
-				truncated = true
-			}
-			break
-		}
-	}
-	if truncated {
-		cm.m.stats.CutTruncations++
-	}
-	cm.m.met.cutsPerNode.Observe(float64(len(out)))
-	cm.cuts[id] = out
-	return out
-}
-
-func mergeCut(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Ints(out)
-	dst := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
+// distinctSignals counts the distinct input signals of a cut with
+// epoch-stamped membership over the precomputed signal ids: no map, no
+// clearing, re-entrant (each call gets a fresh epoch).
 func (cm *coneMapper) distinctSignals(nodes []int) int {
-	if sc := cm.sc; sc != nil {
-		// Epoch-stamped membership over the precomputed signal ids: no map,
-		// no clearing, re-entrant (each call gets a fresh epoch).
-		marks, ep := sc.stamp(&sc.sigSeen, cm.numSigs)
-		count := 0
-		for _, id := range nodes {
-			if s := cm.sigID[id]; marks[s] != ep {
-				marks[s] = ep
-				count++
-			}
-		}
-		return count
-	}
-	seen := map[string]bool{}
+	sc := cm.sc
+	marks, ep := sc.stamp(&sc.sigSeen, cm.numSigs)
+	count := 0
 	for _, id := range nodes {
-		seen[cm.signalOf(id)] = true
+		if s := cm.sigID[id]; marks[s] != ep {
+			marks[s] = ep
+			count++
+		}
 	}
-	return len(seen)
+	return count
 }
 
 // clusterFunction builds the cluster's BFF over its distinct input signals
-// and the mapping from variable index to providing tree node.
-func (cm *coneMapper) clusterFunction(root int, cut []int) (*bexpr.Function, []int, error) {
-	if cm.sc != nil {
-		fn, varNodes := cm.clusterFunctionScratch(root, cut)
-		return fn, varNodes, nil
-	}
-	inCut := make(map[int]bool, len(cut))
-	for _, id := range cut {
-		inCut[id] = true
-	}
-	varName := make(map[string]string) // signal identity -> variable name
-	varNodes := []int{}
-	var names []string
-	var build func(id int) *bexpr.Expr
-	build = func(id int) *bexpr.Expr {
-		if inCut[id] {
-			sig := cm.signalOf(id)
-			name, ok := varName[sig]
-			if !ok {
-				name = fmt.Sprintf("v%d", len(names))
-				varName[sig] = name
-				names = append(names, name)
-				varNodes = append(varNodes, id)
-			}
-			return bexpr.Var(name)
-		}
-		n := &cm.nodes[id]
-		switch n.op {
-		case bexpr.OpVar:
-			// A cone leaf not in the cut cannot happen: leaves are always
-			// cut points.
-			panic("core: leaf outside cut")
-		case bexpr.OpNot:
-			return bexpr.Not(build(n.kids[0]))
-		case bexpr.OpAnd:
-			kids := make([]*bexpr.Expr, len(n.kids))
-			for i, k := range n.kids {
-				kids[i] = build(k)
-			}
-			return bexpr.And(kids...)
-		default:
-			kids := make([]*bexpr.Expr, len(n.kids))
-			for i, k := range n.kids {
-				kids[i] = build(k)
-			}
-			return bexpr.Or(kids...)
-		}
-	}
-	expr := build(root)
-	fn, err := bexpr.NewWithVars(expr, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fn, varNodes, nil
-}
-
-// clusterFunctionScratch is the arena-path clusterFunction: the expression
-// tree lives in the scratch's per-cut expression arena, cut membership and
-// the signal→variable map are epoch-stamped int slices, variable names
-// come from the static table, and the Function is the scratch's reusable
-// one. The returned function and varNodes are valid until the next cut;
-// anything retained past that (bindings, choices) is heap-copied by the
-// consumer. Construction mirrors bexpr.Var/Not/And/Or exactly — including
-// the single-operand collapse — so the built tree is structurally
-// identical to the allocating path's. It cannot fail: every variable it
-// names is in the order it builds, which is the only NewWithVars error.
-func (cm *coneMapper) clusterFunctionScratch(root int, cut []int) (*bexpr.Function, []int) {
+// and the mapping from variable index to providing tree node. The
+// expression tree lives in the scratch's per-cut expression arena, cut
+// membership and the signal→variable map are epoch-stamped int slices,
+// variable names come from the static table, and the Function is the
+// scratch's reusable one. The returned function and varNodes are valid
+// until the next cut; anything retained past that (bindings, choices) is
+// heap-copied by the consumer. Construction mirrors bexpr.Var/Not/And/Or
+// exactly — including the single-operand collapse — so the hazard keys
+// printed from the tree are the ones bexpr's constructors would give.
+func (cm *coneMapper) clusterFunction(root int, cut []int) (*bexpr.Function, []int) {
 	sc := cm.sc
 	nodeMark, nep := sc.stamp(&sc.nodeMark, len(cm.nodes))
 	for _, id := range cut {
@@ -892,6 +725,7 @@ func (cm *coneMapper) dpNode(id int) error {
 	msp.SetInt("node", int64(id))
 	msp.SetInt("clusters", int64(len(cuts)))
 	defer msp.End()
+	sc := cm.sc
 	for _, cut := range cuts {
 		// Cut-enumeration boundary: a cancelled run stops before matching
 		// the next cluster. cm.stop carries a cancellation observed by the
@@ -903,10 +737,7 @@ func (cm *coneMapper) dpNode(id int) error {
 			return err
 		}
 		cm.m.stats.ClustersEnumerated++
-		fn, varNodes, err := cm.clusterFunction(id, cut.nodes)
-		if err != nil {
-			return err
-		}
+		fn, varNodes := cm.clusterFunction(id, cut.nodes)
 		nvars := fn.NumVars()
 		cm.m.met.clusterLeaves.Observe(float64(nvars))
 		if nvars > truthtab.MaxVars {
@@ -915,66 +746,34 @@ func (cm *coneMapper) dpNode(id int) error {
 		// The cluster's signature vector is computed once per cut with the
 		// word-parallel kernels and shared across both phases and every
 		// candidate cell; the negative-phase vector is derived arithmetically
-		// without touching the truth table. On the arena path all four live
-		// in per-cut scratch buffers (valid until the next cut — exactly
-		// their use), and the cached hazard-key state resets with the cut.
-		var ttPos, ttNeg truthtab.TT
-		var sigPos, sigNeg truthtab.SigVector
-		if sc := cm.sc; sc != nil {
-			if err := truthtab.FromExprInto(fn, &sc.ttPos); err != nil {
-				continue
-			}
-			sc.ttPos.NotInto(&sc.ttNeg)
-			sc.ttPos.SigVecInto(&sc.sigPos)
-			sc.sigPos.ComplementInto(&sc.sigNeg)
-			ttPos, ttNeg, sigPos, sigNeg = sc.ttPos, sc.ttNeg, sc.sigPos, sc.sigNeg
-			sc.mc.beginCut()
-		} else {
-			ttPos, err = truthtab.FromExpr(fn)
-			if err != nil {
-				continue
-			}
-			ttNeg = ttPos.Not()
-			sigPos = ttPos.SigVec()
-			sigNeg = sigPos.Complement()
-		}
-		if cm.m.opts.DisableMatchIndex {
-			for phase := 0; phase < 2; phase++ {
-				target, tsig := ttPos, sigPos
-				if phase == phaseNeg {
-					target, tsig = ttNeg, sigNeg
-				}
-				for _, cell := range cm.m.lib.CellsWithPins(nvars) {
-					mt := cm.m.lib.MatchInfo(cell).Matcher
-					cm.m.stats.FindInvocations++
-					cm.tryCell(id, phase, fn, target, tsig, cell, mt, false, varNodes)
-				}
-			}
+		// without touching the truth table. All four live in per-cut scratch
+		// buffers (valid until the next cut — exactly their use), and the
+		// cached hazard-key state resets with the cut.
+		if err := truthtab.FromExprInto(fn, &sc.ttPos); err != nil {
 			continue
 		}
-		// Indexed path: one probe of the library's signature-keyed match
-		// index serves both phases (the key is output-phase-invariant), and
-		// only cells the key proves compatible get a permutation search.
-		var cands []*library.IndexedCell
-		if sc := cm.sc; sc != nil {
-			sc.keyBuf = sigPos.AppendCanonKey(sc.keyBuf[:0])
-			cands = cm.m.lib.CandidatesKey(sc.keyBuf)
-		} else {
-			cands = cm.m.lib.Candidates(sigPos.CanonKey())
-		}
+		sc.ttPos.NotInto(&sc.ttNeg)
+		sc.ttPos.SigVecInto(&sc.sigPos)
+		sc.sigPos.ComplementInto(&sc.sigNeg)
+		sc.mc.beginCut()
+		// One probe of the library's signature-keyed match index serves both
+		// phases (the key is output-phase-invariant), and only cells the key
+		// proves compatible get a permutation search.
+		sc.keyBuf = sc.sigPos.AppendCanonKey(sc.keyBuf[:0])
+		cands := cm.m.lib.CandidatesKey(sc.keyBuf)
 		cm.m.stats.IndexProbes++
 		cm.m.stats.IndexSkippedCells += cm.m.lib.NumCellsWithPins(nvars) - len(cands)
 		for phase := 0; phase < 2; phase++ {
-			target, tsig := ttPos, sigPos
+			target, tsig := sc.ttPos, sc.sigPos
 			if phase == phaseNeg {
-				target, tsig = ttNeg, sigNeg
+				target, tsig = sc.ttNeg, sc.sigNeg
 			}
 			for _, ic := range cands {
 				if ic.Matcher.Sig().Ones != tsig.Ones {
 					continue // the cell matches the other phase only
 				}
 				cm.m.stats.FindInvocations++
-				cm.tryCell(id, phase, fn, target, tsig, ic.Cell, ic.Matcher, true, varNodes)
+				cm.tryCell(id, phase, fn, target, tsig, ic.Cell, ic.Matcher, varNodes)
 			}
 		}
 	}
@@ -999,13 +798,10 @@ func (cm *coneMapper) dpNode(id int) error {
 	return nil
 }
 
-// matchCtx is the arena path's binding visitor: the per-binding state the
-// allocating path carries in a fresh closure lives here, in the worker's
-// scratch, rebound per tryCell call. It also caches the cluster hazard-set
-// keys lazily per (cut, phase) — the allocating path formats the same
-// string on every hazard check of a binding search — with byte-identical
-// key values, so the per-cone hazCache populates and hits exactly as
-// before.
+// matchCtx is the binding visitor. Its per-binding state lives in the
+// worker's scratch, rebound per tryCell call. It also caches the cluster
+// hazard-set keys lazily per (cut, phase), so a binding search formats
+// each key once instead of once per hazard check.
 type matchCtx struct {
 	cm       *coneMapper
 	n        *tnode
@@ -1013,7 +809,6 @@ type matchCtx struct {
 	fn       *bexpr.Function
 	cell     *library.Cell
 	mt       *match.Matcher
-	pruned   bool
 	varNodes []int
 	rejected int
 	maxB     int
@@ -1041,32 +836,39 @@ func (mc *matchCtx) hazKey(phase int) string {
 	return mc.keys[phase]
 }
 
-// Visit is the per-binding acceptance test — the arena twin of tryCell's
-// closure below, step for step. The one extra obligation here: a binding
-// delivered through the scratch search aliases the search's permutation
-// buffer, and varNodes aliases the scratch, so an *accepted* choice
-// heap-copies both (choices outlive the cut; they are read by solution
-// encoding and serial emission).
+// Visit is the per-binding acceptance test. A binding delivered by the
+// scratch search aliases the search's permutation buffer, and varNodes
+// aliases the scratch, so an *accepted* choice heap-copies both (choices
+// outlive the cut; they are read by solution encoding and serial
+// emission).
 func (mc *matchCtx) Visit(b hazard.Binding) bool {
 	cm := mc.cm
+	// Binding-search boundary: the permutation search over a wide,
+	// hazardous cell can visit many bindings (each with a hazard
+	// analysis), so cancellation is polled here too — stride-amortised,
+	// and latched in cm.stop so the surrounding loops unwind at once.
 	if err := cm.m.pollCtx(); err != nil {
 		cm.stop = err
 		return false
 	}
 	cm.m.stats.MatchesFound++
-	if mc.pruned {
-		cm.m.stats.SymmetryPruned += mc.mt.Orbit() - 1
-	}
+	cm.m.stats.SymmetryPruned += mc.mt.Orbit() - 1
 	if cm.m.opts.Mode == Async && mc.cell.Hazardous() {
 		cm.m.stats.HazardousMatches++
 		if !cm.hazardSubsetOK(mc.fn, mc.phase, mc.cell, b, mc.hazKey(mc.phase)) {
 			cm.m.stats.MatchesRejected++
-			if mc.pruned || mc.mt.Representative(b.Perm) {
-				mc.rejected++
-			}
+			// MaxBindings bounds how many hazard-rejected bindings are
+			// examined before giving up on a hazardous cell; accepted
+			// bindings never count toward the limit. Every binding visited
+			// here is its orbit's representative, so the limit counts
+			// orbits: an unpruned search gives up at the same frontier by
+			// counting only representatives (dp_ref_test.go).
+			mc.rejected++
 			return mc.rejected < mc.maxB
 		}
 	}
+	// Cost: cell area plus the cost of each cluster input in the phase
+	// the binding demands; arrival = worst input arrival + cell delay.
 	c := cost{area: mc.cell.Area, delay: 0}
 	sc := cm.sc
 	if cap(sc.demand) < len(mc.varNodes) {
@@ -1103,101 +905,31 @@ func (mc *matchCtx) Visit(b hazard.Binding) bool {
 // tryCell attempts to match one cell against a cluster target and updates
 // the DP cost for (id, phase). tsig must be target's signature vector
 // (computed once per cut by dpNode); mt is the cell's prebuilt matcher.
-// With pruned set, only one representative binding per pin-symmetry orbit
-// is enumerated — legitimate because orbit members agree on cost (the
-// input-phase demand travels with the target variable) and on the hazard
-// verdict (symmetry classes require hazard-set swap invariance), and the
-// representative is the orbit's DFS-first member, so the strict `better`
-// comparison picks the same choice either way.
-func (cm *coneMapper) tryCell(id, phase int, fn *bexpr.Function, target truthtab.TT, tsig truthtab.SigVector, cell *library.Cell, mt *match.Matcher, pruned bool, varNodes []int) {
+// Output inversion is handled by the dual-phase DP (cost[x][neg] plus
+// phase relaxation), so only direct-output bindings are searched: a
+// binding with InvOut realises the *complement* of the target.
+//
+// Only one representative binding per pin-symmetry orbit is enumerated —
+// legitimate because orbit members agree on cost (the input-phase demand
+// travels with the target variable) and on the hazard verdict (symmetry
+// classes require hazard-set swap invariance), and the representative is
+// the orbit's DFS-first member, so the strict `better` comparison picks
+// the same choice as a search of every binding would.
+//
+// The binding visitor is the scratch's reusable matchCtx (its per-cut
+// hazard-key cache survives across the cells of one cut; dpNode resets
+// it at each cut), and the permutation search runs on the scratch's
+// match.Scratch.
+func (cm *coneMapper) tryCell(id, phase int, fn *bexpr.Function, target truthtab.TT, tsig truthtab.SigVector, cell *library.Cell, mt *match.Matcher, varNodes []int) {
 	if cm.stop != nil {
 		return
 	}
-	if sc := cm.sc; sc != nil {
-		// Arena path: the binding visitor is the scratch's reusable
-		// matchCtx (its per-cut hazard-key cache survives across the cells
-		// of one cut; dpNode resets it at each cut), and the permutation
-		// search runs on the scratch's match.Scratch instead of allocating
-		// its own state per Find call.
-		mc := &sc.mc
-		mc.cm, mc.n, mc.phase, mc.fn = cm, &cm.nodes[id], phase, fn
-		mc.cell, mc.mt, mc.pruned, mc.varNodes = cell, mt, pruned, varNodes
-		mc.rejected, mc.maxB = 0, cm.m.opts.MaxBindings
-		if pruned {
-			mt.FindScratch(target, tsig, mc, &sc.msc)
-		} else {
-			mt.FindAllScratch(target, tsig, mc, &sc.msc)
-		}
-		return
-	}
-	n := &cm.nodes[id]
-	rejected := 0
-	maxB := cm.m.opts.MaxBindings
-	// Output inversion is handled by the dual-phase DP (cost[x][neg] plus
-	// phase relaxation), so only direct-output bindings are usable here: a
-	// binding with InvOut realises the *complement* of the target.
-	visit := func(b hazard.Binding) bool {
-		// Binding-search boundary: the permutation search over a wide,
-		// hazardous cell can visit many bindings (each with a hazard
-		// analysis), so cancellation is polled here too — stride-amortised,
-		// and latched in cm.stop so the surrounding loops unwind at once.
-		if err := cm.m.pollCtx(); err != nil {
-			cm.stop = err
-			return false
-		}
-		cm.m.stats.MatchesFound++
-		if pruned {
-			cm.m.stats.SymmetryPruned += mt.Orbit() - 1
-		}
-		if cm.m.opts.Mode == Async && cell.Hazardous() {
-			cm.m.stats.HazardousMatches++
-			key := fmt.Sprintf("%d|%s", phase, fn.Root.String())
-			if !cm.hazardSubsetOK(fn, phase, cell, b, key) {
-				cm.m.stats.MatchesRejected++
-				// MaxBindings bounds how many hazard-rejected bindings are
-				// examined before giving up on a hazardous cell; accepted
-				// bindings never count toward the limit. Only orbit
-				// representatives count, so the pruned and unpruned searches
-				// give up at exactly the same frontier and the mapped
-				// netlist stays bit-identical across the two modes.
-				if pruned || mt.Representative(b.Perm) {
-					rejected++
-				}
-				return rejected < maxB
-			}
-		}
-		// Cost: cell area plus the cost of each cluster input in the phase
-		// the binding demands; arrival = worst input arrival + cell delay.
-		c := cost{area: cell.Area, delay: 0}
-		demand := make([]int, len(varNodes))
-		for pin, v := range b.Perm {
-			if b.InvIn&(1<<uint(pin)) != 0 {
-				demand[v] = phaseNeg
-			}
-		}
-		for v, nodeID := range varNodes {
-			in := cm.nodes[nodeID].cost[demand[v]]
-			c.area += in.area
-			if in.delay > c.delay {
-				c.delay = in.delay
-			}
-		}
-		c.delay += cell.Delay
-		if c.better(n.cost[phase], cm.m.opts.Objective) {
-			n.cost[phase] = c
-			n.choice[phase] = &choice{
-				cell:    cell,
-				binding: b,
-				varNode: append([]int(nil), varNodes...),
-			}
-		}
-		return rejected < maxB
-	}
-	if pruned {
-		mt.Find(target, tsig, visit)
-	} else {
-		mt.FindAll(target, tsig, visit)
-	}
+	sc := cm.sc
+	mc := &sc.mc
+	mc.cm, mc.n, mc.phase, mc.fn = cm, &cm.nodes[id], phase, fn
+	mc.cell, mc.mt, mc.varNodes = cell, mt, varNodes
+	mc.rejected, mc.maxB = 0, cm.m.opts.MaxBindings
+	mt.FindScratch(target, tsig, mc, &sc.msc)
 }
 
 // hazardSubsetOK implements the paper's asyncmatchingroutine acceptance
@@ -1274,17 +1006,11 @@ func (cm *coneMapper) hazardSubsetOK(fn *bexpr.Function, phase int, cell *librar
 	if clusterSet == nil {
 		return false
 	}
-	if cm.sc != nil {
-		// Fused translate → burst-filter → subset test: same verdict as the
-		// three-step pipeline below, without materialising the translated
-		// set per binding.
-		return cellSet.TranslatedSubsetOf(b, cm.m.opts.MaxBurst, clusterSet)
-	}
-	translated := cellSet.Translate(b, fn.NumVars())
-	// Hazard don't-cares: bursts wider than MaxBurst never occur, so the
-	// cell's hazards on those transitions are harmless.
-	translated = translated.FilterMaxBurst(cm.m.opts.MaxBurst)
-	return translated.SubsetOf(clusterSet)
+	// Translate the cell's hazards through the binding and test the subset,
+	// fused so no translated set is materialised per binding. Hazard
+	// don't-cares: bursts wider than MaxBurst never occur, so the cell's
+	// hazards on those transitions are harmless.
+	return cellSet.TranslatedSubsetOf(b, cm.m.opts.MaxBurst, clusterSet)
 }
 
 // emitRoot realises the cone root in positive phase under its final name.

@@ -7,11 +7,13 @@ import (
 
 	"gfmap/internal/bexpr"
 	"gfmap/internal/library"
+	"gfmap/internal/network"
 )
 
-// The match index and symmetry pruning are pure accelerations: the mapped
-// netlist and the deterministic mapping decisions must be bit-identical
-// with them on or off, in both mapping modes, serial and parallel.
+// The match index and symmetry pruning are pure accelerations: every DP
+// choice and the mapped netlist must be those of the reference matcher
+// that searches every binding of every same-pin-count cell, in both
+// mapping modes, serial and parallel.
 func TestMatchIndexBitIdentity(t *testing.T) {
 	srcs := map[string]string{
 		"simple": simpleSrc,
@@ -34,26 +36,14 @@ z = (u*e)' + d*f;
 			lib := library.MustGet(libName)
 			for _, mode := range []Mode{Sync, Async} {
 				for _, workers := range []int{1, 8} {
-					net := parseNet(t, src, name)
-					on, err := Map(net, lib, Options{Mode: mode, Workers: workers})
-					if err != nil {
-						t.Fatalf("%s/%s/%v/w%d indexed: %v", name, libName, mode, workers, err)
+					id := fmt.Sprintf("%s/%s/%v/w%d", name, libName, mode, workers)
+					on, off := compareDP(t, id, parseNet(t, src, name), lib, Options{Mode: mode, Workers: workers}, true)
+					if on.IndexProbes == 0 || off.IndexProbes != 0 {
+						t.Errorf("%s: index-probe accounting wrong: on=%d off=%d", id, on.IndexProbes, off.IndexProbes)
 					}
-					off, err := Map(net, lib, Options{Mode: mode, Workers: workers, DisableMatchIndex: true})
-					if err != nil {
-						t.Fatalf("%s/%s/%v/w%d unindexed: %v", name, libName, mode, workers, err)
-					}
-					if on.Netlist.String() != off.Netlist.String() {
-						t.Errorf("%s/%s/%v/w%d: netlists differ with index on vs off:\n%s\nvs\n%s",
-							name, libName, mode, workers, on.Netlist, off.Netlist)
-					}
-					if on.Stats.IndexProbes == 0 || off.Stats.IndexProbes != 0 {
-						t.Errorf("%s/%s/%v/w%d: index-probe accounting wrong: on=%d off=%d",
-							name, libName, mode, workers, on.Stats.IndexProbes, off.Stats.IndexProbes)
-					}
-					if on.Stats.FindInvocations >= off.Stats.FindInvocations {
-						t.Errorf("%s/%s/%v/w%d: index did not reduce Find invocations: %d vs %d",
-							name, libName, mode, workers, on.Stats.FindInvocations, off.Stats.FindInvocations)
+					if on.FindInvocations >= off.FindInvocations {
+						t.Errorf("%s: index did not reduce Find invocations: %d vs %d",
+							id, on.FindInvocations, off.FindInvocations)
 					}
 				}
 			}
@@ -67,13 +57,15 @@ z = (u*e)' + d*f;
 // XOR head matches the target under inv(a,b) ∈ {00, 11}; the 00 family is
 // enumerated first and, with the 5! orderings of the AND tail interleaved,
 // the first 11-family binding is number 121. Leaf costs are rigged so the
-// 11 family is cheaper.
+// 11 family is cheaper. The unpruned half runs the reference search of
+// every binding; the pruned half is the production tryCell.
 func TestMaxBindingsCountsOnlyRejectedBindings(t *testing.T) {
 	lib := library.New("maxbind")
 	cell := lib.MustAdd("XA7", "(a*b' + a'*b)*c*d*e*f*g", 1)
+	rm := newRefMatch(lib, true)
 	for _, pruned := range []bool{false, true} {
-		m := &mapper{lib: lib, opts: Options{Mode: Sync}.withDefaults()}
-		cm := &coneMapper{m: m}
+		m := &mapper{lib: lib, opts: Options{Mode: Sync}.withDefaults(), sc: new(coneScratch)}
+		cm := &coneMapper{m: m, sc: m.sc}
 		cm.nodes = make([]tnode, 8)
 		varNodes := make([]int, 7)
 		for v := 0; v < 7; v++ {
@@ -91,8 +83,11 @@ func TestMaxBindingsCountsOnlyRejectedBindings(t *testing.T) {
 		cm.nodes[root] = tnode{op: bexpr.OpAnd, cost: [2]cost{infCost, infCost}}
 		fn := cell.Fn
 		tsig := cell.TT.SigVec()
-		mt := lib.MatchInfo(cell).Matcher
-		cm.tryCell(root, phasePos, fn, cell.TT, tsig, cell, mt, pruned, varNodes)
+		if pruned {
+			cm.tryCell(root, phasePos, fn, cell.TT, tsig, cell, rm.cells[cell].sym, varNodes)
+		} else {
+			cm.tryCellSlow(root, phasePos, fn, cell.TT, tsig, cell, varNodes, rm)
+		}
 		ch := cm.nodes[root].choice[phasePos]
 		if ch == nil {
 			t.Fatalf("pruned=%v: no choice recorded", pruned)
@@ -120,13 +115,8 @@ func TestEnumCutsCombinationBound(t *testing.T) {
 		terms = append(terms, fmt.Sprintf("(x%d + y%d)", i, i))
 	}
 	fn := bexpr.MustParse(strings.Join(terms, "*"))
-	m := &mapper{lib: library.MustGet("LSI9K"), opts: Options{Mode: Sync}.withDefaults()}
-	cm := &coneMapper{m: m}
-	root, err := cm.buildTree(fn.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm.cuts = make([][]cutEntry, len(cm.nodes))
+	m := &mapper{lib: library.MustGet("LSI9K"), opts: Options{Mode: Sync}.withDefaults(), sc: new(coneScratch)}
+	cm, root := newConeMapper(t, m, network.Cone{Root: "y", Expr: fn})
 	cuts := cm.enumCuts(root)
 	if len(cuts) > maxCutsPerNode {
 		t.Errorf("enumCuts returned %d cuts, bound is %d", len(cuts), maxCutsPerNode)
@@ -138,7 +128,8 @@ func TestEnumCutsCombinationBound(t *testing.T) {
 
 // The symmetry classes must never be trusted blindly: every binding the
 // pruned matcher returns has to reproduce the target exactly (the leaf
-// check), including on multi-word tables.
+// check), including on multi-word tables, and the choices must be those
+// of the reference search of every binding.
 func TestPrunedMatchingWideCells(t *testing.T) {
 	src := `
 INPUT(a, b, c, d, e, f, g, h)
@@ -147,19 +138,13 @@ y = a*b*c*d*e*f*g*h;
 `
 	net := parseNet(t, src, "wide")
 	lib := library.MustGet("CMOS3")
-	on, err := Map(net, lib, Options{Mode: Async, MaxDepth: 8, MaxLeaves: 8})
+	opts := Options{Mode: Async, MaxDepth: 8, MaxLeaves: 8}
+	if st, _ := compareDP(t, "wide", net, lib, opts, true); st.SymmetryPruned == 0 {
+		t.Errorf("mapping an AND8 cone pruned no symmetric bindings: %+v", st)
+	}
+	on, err := Map(net, lib, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	off, err := Map(net, lib, Options{Mode: Async, MaxDepth: 8, MaxLeaves: 8, DisableMatchIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Netlist.String() != off.Netlist.String() {
-		t.Errorf("wide-cell netlists differ:\n%s\nvs\n%s", on.Netlist, off.Netlist)
-	}
-	if on.Stats.SymmetryPruned == 0 {
-		t.Errorf("mapping an AND8 cone pruned no symmetric bindings: %+v", on.Stats)
 	}
 	if err := VerifyEquivalence(net, on.Netlist); err != nil {
 		t.Errorf("equivalence: %v", err)

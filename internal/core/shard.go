@@ -86,10 +86,7 @@ func MapCones(ctx context.Context, net *network.Network, lib *library.Library, o
 	}
 	m := &mapper{lib: lib, opts: opts,
 		netlist: NewNetlist(net.Name, net.Inputs, net.Outputs),
-		tid:     1, met: newMetricSet(opts.Metrics)}
-	if !opts.DisableArenas {
-		m.sc = acquireScratch()
-	}
+		tid:     1, met: newMetricSet(opts.Metrics), sc: acquireScratch()}
 	// Same identity discipline as mapPipeline: fingerprint after
 	// annotation, so pre- and post-annotation solutions never mix.
 	m.libFP = lib.Fingerprint()
@@ -111,10 +108,8 @@ func MapCones(ctx context.Context, net *network.Network, lib *library.Library, o
 		sols[pc.coneKey] = pc.encoded
 	}
 	// Pool the scratch only on the clean path, mirroring mapPipeline.
-	if m.sc != nil {
-		releaseScratch(m.sc)
-		m.sc = nil
-	}
+	releaseScratch(m.sc)
+	m.sc = nil
 	return &ConeSolutions{LibFP: m.libFP, OptHash: m.optHash,
 		Cones: len(cones), Solved: len(assigned),
 		Solutions: sols, Stats: m.stats}, nil

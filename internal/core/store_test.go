@@ -158,6 +158,20 @@ func freshStoreHits(t *testing.T, src string, lib *library.Library, opts Options
 	return res.Stats.StoreHits
 }
 
+// The option hash is part of every store key. It must keep the exact
+// strings earlier versions wrote, including the removed match-index
+// switch, or their store entries go cold and are never compacted.
+func TestOptionHashKeepsStoreKeys(t *testing.T) {
+	for mode, want := range map[Mode]string{
+		Async: "mode=1;obj=0;depth=5;leaves=6;bindings=32;burst=0;noindex=false",
+		Sync:  "mode=0;obj=0;depth=5;leaves=6;bindings=32;burst=0;noindex=false",
+	} {
+		if got := optionHash(Options{Mode: mode}.withDefaults()); got != want {
+			t.Errorf("optionHash(%v) = %q, want %q", mode, got, want)
+		}
+	}
+}
+
 func TestStoreLibraryEditIsCold(t *testing.T) {
 	store := mapstore.NewMemory(0)
 	net := parseNet(t, storeSrc, "storetest")

@@ -107,15 +107,11 @@ func (r *Report) add(kind, mode, variant, detail string) {
 }
 
 // variant is one point of the option matrix. Every variant of a mode must
-// produce a byte-identical netlist; variants with comparableStats must
-// also agree on Stats.Deterministic() (the match-index axis legitimately
-// changes the matcher's work counters, so index-off runs skip that
-// comparison).
+// produce a byte-identical netlist and agree on Stats.Deterministic().
 type variant struct {
-	name            string
-	comparableStats bool
-	opts            func(core.Options) core.Options
-	ctx             context.Context
+	name string
+	opts func(core.Options) core.Options
+	ctx  context.Context
 	// delta maps through core.MapDelta seeded with the serial baseline's
 	// result instead of core.Map.
 	delta bool
@@ -123,19 +119,15 @@ type variant struct {
 
 func matrix(workers int, store *mapstore.Store) []variant {
 	vars := []variant{
-		{name: "serial", comparableStats: true,
+		{name: "serial",
 			opts: func(o core.Options) core.Options { o.Workers = 1; return o }},
-		{name: "workers", comparableStats: true,
+		{name: "workers",
 			opts: func(o core.Options) core.Options { o.Workers = workers; return o }},
-		{name: "nocache", comparableStats: true,
+		{name: "nocache",
 			opts: func(o core.Options) core.Options { o.Workers = 1; o.DisableHazardCache = true; return o }},
-		{name: "warmshared", comparableStats: true,
+		{name: "warmshared",
 			opts: func(o core.Options) core.Options { o.Workers = 1; return o }}, // second run against the same private cache, warm
-		{name: "noindex", comparableStats: false,
-			opts: func(o core.Options) core.Options { o.Workers = 1; o.DisableMatchIndex = true; return o }},
-		{name: "noarena", comparableStats: true,
-			opts: func(o core.Options) core.Options { o.Workers = 1; o.DisableArenas = true; return o }},
-		{name: "ctx", comparableStats: true, ctx: context.Background(),
+		{name: "ctx", ctx: context.Background(),
 			opts: func(o core.Options) core.Options { o.Workers = 1; return o }},
 	}
 	if store != nil {
@@ -147,9 +139,9 @@ func matrix(workers int, store *mapstore.Store) []variant {
 		// harness shape that flushes out stale-key and invalidation bugs.
 		withStore := func(o core.Options) core.Options { o.Workers = 1; o.Store = store; return o }
 		vars = append(vars,
-			variant{name: "storecold", comparableStats: true, opts: withStore},
-			variant{name: "storewarm", comparableStats: true, opts: withStore},
-			variant{name: "delta", comparableStats: true, delta: true,
+			variant{name: "storecold", opts: withStore},
+			variant{name: "storewarm", opts: withStore},
+			variant{name: "delta", delta: true,
 				opts: func(o core.Options) core.Options { o.Workers = 1; return o }},
 		)
 	}
@@ -260,11 +252,9 @@ func checkMode(net *network.Network, mode core.Mode, workers int, opts Options, 
 			rep.add(KindByteIdentity, ms, o.variant.name,
 				fmt.Sprintf("netlist differs from serial baseline:\n--- baseline ---\n%s--- %s ---\n%s", baseNl, o.variant.name, nl))
 		}
-		if o.variant.comparableStats {
-			if st := o.res.Stats.Deterministic(); st != baseStats {
-				rep.add(KindStats, ms, o.variant.name,
-					fmt.Sprintf("deterministic stats differ: %+v vs baseline %+v", st, baseStats))
-			}
+		if st := o.res.Stats.Deterministic(); st != baseStats {
+			rep.add(KindStats, ms, o.variant.name,
+				fmt.Sprintf("deterministic stats differ: %+v vs baseline %+v", st, baseStats))
 		}
 		// Store coherence: a warm run over the very store its cold twin
 		// filled must hit on every cone, and a delta run of the identical

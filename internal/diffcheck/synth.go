@@ -237,7 +237,6 @@ func synthMatrix(workers int, store *mapstore.Store) []synthVariant {
 	vars := []synthVariant{
 		{name: "serial", opts: serial},
 		{name: "workers", opts: func(o synth.Options) synth.Options { o.Map.Workers = workers; return o }},
-		{name: "noarena", opts: func(o synth.Options) synth.Options { o.Map.Workers = 1; o.Map.DisableArenas = true; return o }},
 		{name: "rerun", opts: serial},
 	}
 	if store != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,11 +71,35 @@ func TestNewRejectsEmptyFleet(t *testing.T) {
 
 // TestDoDistributesAndOrders: a batch larger than one worker's capacity
 // spreads across the fleet, and Do returns results in job order with the
-// winning worker recorded.
+// winning worker recorded. Each worker holds its responses until both
+// workers have received a request; an echo that answered at once would let
+// one worker's runners drain the whole batch before the other's started.
 func TestDoDistributesAndOrders(t *testing.T) {
 	var h0, h1 atomic.Int64
-	w0 := echoServer(t, "w0", &h0)
-	w1 := echoServer(t, "w1", &h1)
+	both := make(chan struct{})
+	var bothOnce sync.Once
+	gatedEcho := func(tag string, hits *atomic.Int64) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			if h0.Load() > 0 && h1.Load() > 0 {
+				bothOnce.Do(func() { close(both) })
+			}
+			select {
+			case <-both:
+			case <-r.Context().Done():
+				return
+			case <-time.After(10 * time.Second):
+				t.Errorf("%s: the other worker received no request within 10s", tag)
+				http.Error(w, "gate timeout", http.StatusServiceUnavailable)
+				return
+			}
+			fmt.Fprintf(w, "%s:%s", tag, r.Header.Get("X-Job"))
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	w0 := gatedEcho("w0", &h0)
+	w1 := gatedEcho("w1", &h1)
 	defer goroutineGuard(t)()
 	c := mustNew(t, Config{Workers: []string{w0.URL, w1.URL}, PerWorker: 2, HedgeAfter: -1})
 	jobs := make([]Job, 16)

@@ -185,7 +185,6 @@ type matchIndex struct {
 	annotated bool
 	byPins    map[int]int
 	buckets   map[string][]*IndexedCell // CanonKey -> cells, library order
-	all       map[*Cell]*IndexedCell
 }
 
 // index returns the match index, (re)building it when the library gained
@@ -209,7 +208,6 @@ func (l *Library) index() *matchIndex {
 		annotated: l.annotated,
 		byPins:    make(map[int]int),
 		buckets:   make(map[string][]*IndexedCell),
-		all:       make(map[*Cell]*IndexedCell, len(l.Cells)),
 	}
 	for _, c := range l.Cells {
 		ic := &IndexedCell{
@@ -219,38 +217,26 @@ func (l *Library) index() *matchIndex {
 		idx.byPins[c.NumPins()]++
 		key := ic.Matcher.Sig().CanonKey()
 		idx.buckets[key] = append(idx.buckets[key], ic)
-		idx.all[c] = ic
 	}
 	l.midx = idx
 	return idx
 }
 
-// Candidates returns the indexed cells whose signature key equals key —
-// the only cells that can match a cluster with that key, in any input
-// permutation, input phase or output phase. Cells are returned in library
-// order, matching CellsWithPins, so an indexed covering run visits the
-// same matches in the same order as an unindexed one. The returned slice
-// is shared and must not be mutated.
-func (l *Library) Candidates(key string) []*IndexedCell {
-	return l.index().buckets[key]
-}
-
-// CandidatesKey is Candidates for a key assembled into a byte buffer
-// (truthtab.SigVector.AppendCanonKey): the map probe converts the bytes
-// in place, so the mapper's per-cut index lookup allocates nothing.
+// CandidatesKey returns the indexed cells whose signature key
+// (truthtab.SigVector.AppendCanonKey) equals key — the only cells that can
+// match a cluster with that key, in any input permutation, input phase or
+// output phase. Cells are returned in library order, so the covering DP
+// visits the same matches in the same order as a probe of every cell
+// would. The map probe converts the bytes in place, so the mapper's
+// per-cut lookup allocates nothing. The returned slice is shared and must
+// not be mutated.
 func (l *Library) CandidatesKey(key []byte) []*IndexedCell {
 	return l.index().buckets[string(key)]
 }
 
-// NumCellsWithPins returns how many cells have the given input count,
-// without materialising the slice CellsWithPins builds.
+// NumCellsWithPins returns how many cells have the given input count.
 func (l *Library) NumCellsWithPins(n int) int {
 	return l.index().byPins[n]
-}
-
-// MatchInfo returns the indexed matcher for one of the library's cells.
-func (l *Library) MatchInfo(c *Cell) *IndexedCell {
-	return l.index().all[c]
 }
 
 // symClasses partitions the cell's pins into symmetry classes: pins in one
@@ -316,17 +302,6 @@ func (l *Library) HazardousCells() []*Cell {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// CellsWithPins returns the cells with the given input count.
-func (l *Library) CellsWithPins(n int) []*Cell {
-	var out []*Cell
-	for _, c := range l.Cells {
-		if c.NumPins() == n {
-			out = append(out, c)
-		}
-	}
 	return out
 }
 

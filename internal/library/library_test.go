@@ -50,18 +50,6 @@ func TestMinInverter(t *testing.T) {
 	}
 }
 
-func TestCellsWithPins(t *testing.T) {
-	l := MustGet("CMOS3")
-	for _, c := range l.CellsWithPins(2) {
-		if c.NumPins() != 2 {
-			t.Errorf("cell %s has %d pins", c.Name, c.NumPins())
-		}
-	}
-	if len(l.CellsWithPins(2)) == 0 {
-		t.Error("CMOS3 must have 2-pin cells")
-	}
-}
-
 func TestFamilyOf(t *testing.T) {
 	tests := map[string]string{
 		"MUX21A": "MUX",

@@ -9,9 +9,10 @@
 // A Matcher wraps one side of a match (typically a library cell) with its
 // signature vector memoized and, optionally, symmetry classes over its
 // pins. Symmetric pins are interchangeable both functionally and in their
-// hazard behaviour, so the permutation search can enumerate one canonical
-// representative per symmetry orbit (Matcher.Find) instead of the whole
-// orbit (Matcher.FindAll) — collapsing e.g. AND6's 720 pin orderings to 1.
+// hazard behaviour, so the permutation search enumerates one canonical
+// representative per symmetry orbit instead of the whole orbit —
+// collapsing e.g. AND6's 720 pin orderings to 1. A matcher without
+// classes (NewMatcher) enumerates every binding.
 package match
 
 import (
@@ -34,7 +35,7 @@ type Matcher struct {
 }
 
 // NewMatcher builds a matcher with no symmetry information: every pin is
-// its own class, so Find and FindAll enumerate identically.
+// its own class, so its search enumerates every binding.
 func NewMatcher(tt truthtab.TT) *Matcher {
 	m := &Matcher{tt: tt, sig: tt.SigVec(), orbit: 1, prev: make([]int, tt.N)}
 	for i := range m.prev {
@@ -69,9 +70,6 @@ func NewSymMatcher(tt truthtab.TT, classOf []int) *Matcher {
 	return m
 }
 
-// TT returns the matcher's truth table.
-func (m *Matcher) TT() truthtab.TT { return m.tt }
-
 // Sig returns the memoized signature vector. The caller must not mutate
 // the shared C0/C1 slices.
 func (m *Matcher) Sig() truthtab.SigVector { return m.sig }
@@ -83,8 +81,9 @@ func (m *Matcher) Orbit() int { return m.orbit }
 // Representative reports whether perm is the canonical representative of
 // its symmetry orbit: target variables ascend along every symmetry-class
 // chain. With no symmetry classes every binding is a representative.
-// Bindings yielded by Find are always representatives; FindAll yields the
-// whole orbit, of which exactly one binding satisfies this predicate.
+// Bindings yielded by FindScratch are always representatives; of a whole
+// orbit, as a matcher without classes enumerates it, exactly one binding
+// satisfies this predicate.
 func (m *Matcher) Representative(perm []int) bool {
 	for i, p := range m.prev {
 		if p >= 0 && perm[i] < perm[p] {
@@ -94,65 +93,18 @@ func (m *Matcher) Representative(perm []int) bool {
 	return true
 }
 
-// Find enumerates one representative binding per symmetry orbit under
-// which the matcher's function equals goal (direct output phase; the
-// mapper handles output inversion by dual-phase covering). goalSig must be
-// goal's signature vector — passed in so the caller can compute it once
-// per cluster and share it across cells and phases. Enumeration stops when
-// fn returns false.
-func (m *Matcher) Find(goal truthtab.TT, goalSig truthtab.SigVector, fn func(hazard.Binding) bool) {
-	m.run(goal, goalSig, false, true, fn)
-}
-
-// FindAll is Find without symmetry pruning: every binding of every orbit.
-func (m *Matcher) FindAll(goal truthtab.TT, goalSig truthtab.SigVector, fn func(hazard.Binding) bool) {
-	m.run(goal, goalSig, false, false, fn)
-}
-
-// run drives one permutation search against a single output phase.
-// Returns false when fn asked to stop.
-func (m *Matcher) run(goal truthtab.TT, goalSig truthtab.SigVector, invOut, prune bool, fn func(hazard.Binding) bool) bool {
-	if m.tt.N != goal.N || m.sig.Ones != goalSig.Ones {
-		return true
-	}
-	n := m.tt.N
-	s := &search{
-		cell:     m.tt,
-		goal:     goal,
-		cellSig:  m.sig,
-		goalSig:  goalSig,
-		prev:     m.prev,
-		prune:    prune,
-		invOut:   invOut,
-		n:        n,
-		v:        funcVisitor{fn},
-		copyPerm: true,
-		perm:     make([]int, n),
-		usedVar:  make([]bool, n),
-	}
-	return s.assign(0)
-}
-
-// Visitor receives bindings from a scratch-mode search. The Binding
-// passed to Visit aliases search-owned scratch: Perm is valid only for
-// the duration of the call and must be copied if retained. Returning
-// false stops the enumeration.
+// Visitor receives bindings from a search. The Binding passed to Visit
+// aliases search-owned scratch: Perm is valid only for the duration of
+// the call and must be copied if retained. Returning false stops the
+// enumeration.
 type Visitor interface {
 	Visit(hazard.Binding) bool
 }
 
-// funcVisitor adapts the legacy callback API to the Visitor interface.
-type funcVisitor struct {
-	fn func(hazard.Binding) bool
-}
-
-func (f funcVisitor) Visit(b hazard.Binding) bool { return f.fn(b) }
-
-// Scratch holds the permutation-search state for the scratch-mode entry
-// points: the search frame, the perm/usedVar working arrays, and a
-// transform destination table. One Scratch serves any number of
-// sequential searches with zero steady-state allocation; it must not be
-// shared between concurrent searches.
+// Scratch holds the permutation-search state: the search frame, the
+// perm/usedVar working arrays, and a transform destination table. One
+// Scratch serves any number of sequential searches with zero steady-state
+// allocation; it must not be shared between concurrent searches.
 type Scratch struct {
 	s       search
 	perm    []int
@@ -172,22 +124,17 @@ func (sc *Scratch) Scrub() {
 	clear(sc.tmp.Bits)
 }
 
-// FindScratch is Find with search state drawn from sc and bindings
-// delivered through a Visitor whose Binding.Perm aliases scratch (copy to
-// retain). Steady state allocates nothing.
+// FindScratch enumerates one representative binding per symmetry orbit
+// under which the matcher's function equals goal (direct output phase;
+// the mapper handles output inversion by dual-phase covering). goalSig
+// must be goal's signature vector — passed in so the caller can compute
+// it once per cluster and share it across cells and phases. Search state
+// is drawn from sc, and bindings are delivered through v with Perm
+// aliasing scratch (copy to retain). Enumeration stops when v returns
+// false. Steady state allocates nothing.
 func (m *Matcher) FindScratch(goal truthtab.TT, goalSig truthtab.SigVector, v Visitor, sc *Scratch) {
-	m.runScratch(goal, goalSig, false, true, v, sc)
-}
-
-// FindAllScratch is FindScratch without symmetry pruning: every binding
-// of every orbit.
-func (m *Matcher) FindAllScratch(goal truthtab.TT, goalSig truthtab.SigVector, v Visitor, sc *Scratch) {
-	m.runScratch(goal, goalSig, false, false, v, sc)
-}
-
-func (m *Matcher) runScratch(goal truthtab.TT, goalSig truthtab.SigVector, invOut, prune bool, v Visitor, sc *Scratch) bool {
 	if m.tt.N != goal.N || m.sig.Ones != goalSig.Ones {
-		return true
+		return
 	}
 	n := m.tt.N
 	if cap(sc.perm) < n {
@@ -202,62 +149,17 @@ func (m *Matcher) runScratch(goal truthtab.TT, goalSig truthtab.SigVector, invOu
 		cellSig: m.sig,
 		goalSig: goalSig,
 		prev:    m.prev,
-		prune:   prune,
-		invOut:  invOut,
 		n:       n,
 		v:       v,
 		perm:    sc.perm[:n],
 		usedVar: sc.usedVar[:n],
 		tmp:     &sc.tmp,
 	}
-	ok := s.assign(0)
+	s.assign(0)
 	// Drop every reference to caller-owned data before the scratch goes
 	// back to a pool: a canceled request's tables, signatures and visitor
 	// must not stay reachable from reused worker state.
 	*s = search{}
-	return ok
-}
-
-// Find enumerates the bindings under which the cell function equals the
-// target function, invoking fn for each; enumeration stops when fn returns
-// false. Bindings with an inverted output are reported only when
-// allowInvOut is set (the mapper handles output inversion by inserting an
-// inverter or by dual-phase covering). No symmetry pruning is applied:
-// every binding of every orbit is reported.
-func Find(target, cell truthtab.TT, allowInvOut bool, fn func(hazard.Binding) bool) {
-	if target.N != cell.N {
-		return
-	}
-	m := NewMatcher(cell)
-	tsig := target.SigVec()
-	if !m.run(target, tsig, false, false, fn) {
-		return // fn asked to stop
-	}
-	if allowInvOut {
-		m.run(target.Not(), tsig.Complement(), true, false, fn)
-	}
-}
-
-// All collects every binding (bounded by limit; limit <= 0 means no bound).
-func All(target, cell truthtab.TT, allowInvOut bool, limit int) []hazard.Binding {
-	var out []hazard.Binding
-	Find(target, cell, allowInvOut, func(b hazard.Binding) bool {
-		out = append(out, b)
-		return limit <= 0 || len(out) < limit
-	})
-	return out
-}
-
-// First returns the first binding found, if any.
-func First(target, cell truthtab.TT, allowInvOut bool) (hazard.Binding, bool) {
-	var res hazard.Binding
-	found := false
-	Find(target, cell, allowInvOut, func(b hazard.Binding) bool {
-		res = b
-		found = true
-		return false
-	})
-	return res, found
 }
 
 // Phase-candidate slices are shared read-only constants so phasesFor never
@@ -272,12 +174,9 @@ type search struct {
 	cell, goal       truthtab.TT
 	cellSig, goalSig truthtab.SigVector
 	prev             []int
-	prune            bool
-	invOut           bool
-	copyPerm         bool
 	n                int
 	v                Visitor
-	tmp              *truthtab.TT // scratch transform destination; nil = allocate per leaf
+	tmp              *truthtab.TT // transform destination
 	perm             []int
 	inv              uint64
 	usedVar          []bool
@@ -288,27 +187,11 @@ type search struct {
 func (s *search) assign(i int) bool {
 	if i == s.n {
 		// goal already accounts for the output phase, so transform without it.
-		if s.tmp != nil {
-			s.cell.TransformInto(s.perm, s.inv, false, s.n, s.tmp)
-			if !s.tmp.Equal(s.goal) {
-				return true
-			}
-		} else {
-			h := s.cell.Transform(s.perm, s.inv, false, s.n)
-			if !h.Equal(s.goal) {
-				return true
-			}
+		s.cell.TransformInto(s.perm, s.inv, false, s.n, s.tmp)
+		if !s.tmp.Equal(s.goal) {
+			return true
 		}
-		perm := s.perm
-		if s.copyPerm {
-			perm = append([]int(nil), s.perm...)
-		}
-		b := hazard.Binding{
-			Perm:   perm,
-			InvIn:  s.inv,
-			InvOut: s.invOut,
-		}
-		return s.v.Visit(b)
+		return s.v.Visit(hazard.Binding{Perm: s.perm, InvIn: s.inv})
 	}
 	cs := s.cellSig.Var(i)
 	// Symmetry pruning: pins of one class are interchangeable, so any
@@ -316,7 +199,7 @@ func (s *search) assign(i int) bool {
 	// duplicate of the representative with them ascending — skip the
 	// variables below the previous class member's assignment.
 	minV := 0
-	if s.prune && s.prev[i] >= 0 {
+	if s.prev[i] >= 0 {
 		minV = s.perm[s.prev[i]] + 1
 	}
 	for v := minV; v < s.n; v++ {

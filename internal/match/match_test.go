@@ -19,6 +19,52 @@ func tt(t testing.TB, expr string) truthtab.TT {
 	return out
 }
 
+// visitFunc adapts a closure to Visitor.
+type visitFunc func(hazard.Binding) bool
+
+func (f visitFunc) Visit(b hazard.Binding) bool { return f(b) }
+
+// find runs a search of m against goal, handing fn a copy of each binding.
+func find(m *Matcher, goal truthtab.TT, fn func(hazard.Binding) bool) {
+	m.FindScratch(goal, goal.SigVec(), visitFunc(func(b hazard.Binding) bool {
+		b.Perm = append([]int(nil), b.Perm...)
+		return fn(b)
+	}), new(Scratch))
+}
+
+// all collects every binding of cell to target, up to limit (<= 0 means
+// no bound), from a matcher without symmetry classes. With allowInvOut it
+// also matches the target's complement, reporting those bindings with
+// InvOut set.
+func all(target, cell truthtab.TT, allowInvOut bool, limit int) []hazard.Binding {
+	if target.N != cell.N {
+		return nil
+	}
+	var out []hazard.Binding
+	m := NewMatcher(cell)
+	collect := func(invOut bool) func(hazard.Binding) bool {
+		return func(b hazard.Binding) bool {
+			b.InvOut = invOut
+			out = append(out, b)
+			return limit <= 0 || len(out) < limit
+		}
+	}
+	find(m, target, collect(false))
+	if allowInvOut && (limit <= 0 || len(out) < limit) {
+		find(m, target.Not(), collect(true))
+	}
+	return out
+}
+
+// first returns the first binding all finds, if any.
+func first(target, cell truthtab.TT, allowInvOut bool) (hazard.Binding, bool) {
+	bs := all(target, cell, allowInvOut, 1)
+	if len(bs) == 0 {
+		return hazard.Binding{}, false
+	}
+	return bs[0], true
+}
+
 // verify checks that a reported binding really transforms cell into target.
 func verify(t *testing.T, target, cell truthtab.TT, b hazard.Binding) {
 	t.Helper()
@@ -30,7 +76,7 @@ func verify(t *testing.T, target, cell truthtab.TT, b hazard.Binding) {
 
 func TestIdentityMatch(t *testing.T) {
 	and2 := tt(t, "a*b")
-	b, ok := First(and2, and2, false)
+	b, ok := first(and2, and2, false)
 	if !ok {
 		t.Fatal("AND2 must match itself")
 	}
@@ -40,7 +86,7 @@ func TestIdentityMatch(t *testing.T) {
 func TestPermutationMatch(t *testing.T) {
 	target := tt(t, "a*b'") // target over (a,b)
 	cell := tt(t, "a'*b")   // same function with inputs swapped
-	bindings := All(target, cell, false, 0)
+	bindings := all(target, cell, false, 0)
 	if len(bindings) == 0 {
 		t.Fatal("expected a permutation match")
 	}
@@ -52,7 +98,7 @@ func TestPermutationMatch(t *testing.T) {
 func TestPhaseMatch(t *testing.T) {
 	target := tt(t, "a'*b'")
 	cell := tt(t, "a*b")
-	bindings := All(target, cell, false, 0)
+	bindings := all(target, cell, false, 0)
 	if len(bindings) == 0 {
 		t.Fatal("expected phase-assignment matches")
 	}
@@ -67,10 +113,10 @@ func TestPhaseMatch(t *testing.T) {
 func TestOutputPhaseMatch(t *testing.T) {
 	target := tt(t, "(a*b)'")
 	cell := tt(t, "a*b")
-	if _, ok := First(target, cell, false); ok {
+	if _, ok := first(target, cell, false); ok {
 		t.Fatal("NAND must not match AND without output inversion")
 	}
-	b, ok := First(target, cell, true)
+	b, ok := first(target, cell, true)
 	if !ok {
 		t.Fatal("NAND should match AND with output inversion")
 	}
@@ -83,7 +129,7 @@ func TestOutputPhaseMatch(t *testing.T) {
 func TestSymmetricCellEnumeratesAllPerms(t *testing.T) {
 	target := tt(t, "a*b*c")
 	cell := tt(t, "a*b*c")
-	bindings := All(target, cell, false, 0)
+	bindings := all(target, cell, false, 0)
 	if len(bindings) != 6 {
 		t.Errorf("AND3 self-match should yield 3! = 6 bindings, got %d", len(bindings))
 	}
@@ -97,7 +143,7 @@ func TestMuxMatch(t *testing.T) {
 	// select to be inverted.
 	target := tt(t, "s'*a + s*b")
 	cell := tt(t, "s'*b + s*a")
-	bindings := All(target, cell, false, 0)
+	bindings := all(target, cell, false, 0)
 	if len(bindings) == 0 {
 		t.Fatal("mux variants must match")
 	}
@@ -109,7 +155,7 @@ func TestMuxMatch(t *testing.T) {
 func TestNoMatchDifferentFunctions(t *testing.T) {
 	target := tt(t, "a*b + c")
 	cell := tt(t, "a + b + c")
-	if _, ok := First(target, cell, true); ok {
+	if _, ok := first(target, cell, true); ok {
 		t.Error("functions with different NPN classes must not match")
 	}
 }
@@ -117,7 +163,7 @@ func TestNoMatchDifferentFunctions(t *testing.T) {
 func TestNoMatchDifferentArity(t *testing.T) {
 	target := tt(t, "a*b")
 	cell := tt(t, "a*b*c")
-	if _, ok := First(target, cell, true); ok {
+	if _, ok := first(target, cell, true); ok {
 		t.Error("different arities must not match")
 	}
 }
@@ -125,7 +171,7 @@ func TestNoMatchDifferentArity(t *testing.T) {
 func TestAOIMatch(t *testing.T) {
 	target := tt(t, "(a*b + c)'")
 	cell := tt(t, "(x*y + z)'")
-	b, ok := First(target, cell, false)
+	b, ok := first(target, cell, false)
 	if !ok {
 		t.Fatal("AOI21 must match itself across naming")
 	}
@@ -136,7 +182,7 @@ func TestXorMatchWithPhases(t *testing.T) {
 	target := tt(t, "a*b' + a'*b")
 	xnor := tt(t, "a*b + a'*b'")
 	// XOR matches XNOR with one input inverted.
-	bindings := All(target, xnor, false, 0)
+	bindings := all(target, xnor, false, 0)
 	if len(bindings) == 0 {
 		t.Fatal("XOR should match XNOR via an input phase flip")
 	}
@@ -150,7 +196,7 @@ func BenchmarkMatchMux4(b *testing.B) {
 	cell := tt(b, "x'*y'*p + x*y'*q + x'*y*r + x*y*w")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := First(target, cell, false); !ok {
+		if _, ok := first(target, cell, false); !ok {
 			b.Fatal("mux4 should match")
 		}
 	}
@@ -158,8 +204,8 @@ func BenchmarkMatchMux4(b *testing.B) {
 
 // TestFindRecoversRandomTransform is the matching completeness property:
 // for a random cell function and a random (permutation, phase) transform,
-// Find must recover at least one binding reproducing the transformed
-// target.
+// the search must recover at least one binding reproducing the
+// transformed target.
 func TestFindRecoversRandomTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cfg := &quick.Config{MaxCount: 150, Rand: rng}
@@ -179,7 +225,7 @@ func TestFindRecoversRandomTransform(t *testing.T) {
 		r.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		target := cell.Transform(perm, uint64(inv)&0b111, false, n)
 		found := false
-		Find(target, cell, false, func(b hazard.Binding) bool {
+		find(NewMatcher(cell), target, func(b hazard.Binding) bool {
 			if cell.Transform(b.Perm, b.InvIn, b.InvOut, n).Equal(target) {
 				found = true
 			}

@@ -10,11 +10,12 @@ import (
 // symmetric function.
 func oneClass(n int) []int { return make([]int, n) }
 
+// A visitor returning false stops the search at once.
 func TestAllLimitOne(t *testing.T) {
 	and3 := tt(t, "a*b*c")
-	got := All(and3, and3, false, 1)
+	got := all(and3, and3, false, 1)
 	if len(got) != 1 {
-		t.Fatalf("All with limit=1 returned %d bindings, want 1", len(got))
+		t.Fatalf("all with limit=1 returned %d bindings, want 1", len(got))
 	}
 	verify(t, and3, and3, got[0])
 }
@@ -22,9 +23,9 @@ func TestAllLimitOne(t *testing.T) {
 func TestAllLimitNonPositiveMeansUnbounded(t *testing.T) {
 	and3 := tt(t, "a*b*c")
 	for _, limit := range []int{0, -1, -100} {
-		got := All(and3, and3, false, limit)
+		got := all(and3, and3, false, limit)
 		if len(got) != 6 {
-			t.Fatalf("All with limit=%d returned %d bindings, want all 6", limit, len(got))
+			t.Fatalf("all with limit=%d returned %d bindings, want all 6", limit, len(got))
 		}
 	}
 }
@@ -35,13 +36,12 @@ func TestSymMatcherCollapsesOrbit(t *testing.T) {
 	if m.Orbit() != 720 {
 		t.Fatalf("AND6 orbit=%d, want 6!=720", m.Orbit())
 	}
-	sig := and6.SigVec()
 	var pruned, full []hazard.Binding
-	m.Find(and6, sig, func(b hazard.Binding) bool {
+	find(m, and6, func(b hazard.Binding) bool {
 		pruned = append(pruned, b)
 		return true
 	})
-	m.FindAll(and6, sig, func(b hazard.Binding) bool {
+	find(NewMatcher(and6), and6, func(b hazard.Binding) bool {
 		full = append(full, b)
 		return true
 	})
@@ -75,10 +75,9 @@ func TestSymMatcherPartialClasses(t *testing.T) {
 	if m.Orbit() != 2 {
 		t.Fatalf("orbit=%d, want 2!=2", m.Orbit())
 	}
-	sig := fn.SigVec()
 	var pruned, full int
-	m.Find(fn, sig, func(hazard.Binding) bool { pruned++; return true })
-	m.FindAll(fn, sig, func(hazard.Binding) bool { full++; return true })
+	find(m, fn, func(hazard.Binding) bool { pruned++; return true })
+	find(NewMatcher(fn), fn, func(hazard.Binding) bool { full++; return true })
 	if full != 2*pruned {
 		t.Fatalf("unpruned=%d pruned=%d: want exactly orbit x representatives", full, pruned)
 	}
@@ -92,9 +91,8 @@ func TestSymMatcherFindsPermutedTargets(t *testing.T) {
 	m := NewSymMatcher(cell, []int{0, 0, 1})
 	for _, src := range targets {
 		target := tt(t, src)
-		tsig := target.SigVec()
 		found := 0
-		m.Find(target, tsig, func(b hazard.Binding) bool {
+		find(m, target, func(b hazard.Binding) bool {
 			verify(t, target, cell, b)
 			found++
 			return true
@@ -111,14 +109,5 @@ func TestMatcherSigAllocFree(t *testing.T) {
 		_ = m.Sig()
 	}); a != 0 {
 		t.Fatalf("Matcher.Sig allocates %.1f times per run, want 0 (memoized)", a)
-	}
-}
-
-func TestPackageFindIsUnpruned(t *testing.T) {
-	and4 := tt(t, "a*b*c*d")
-	n := 0
-	Find(and4, and4, false, func(hazard.Binding) bool { n++; return true })
-	if n != 24 {
-		t.Fatalf("package-level Find reported %d bindings, want all 24", n)
 	}
 }

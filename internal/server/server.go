@@ -65,11 +65,6 @@ type Config struct {
 	// MapWorkers is core.Options.Workers for every request; 0 means one
 	// per CPU (shared fairly by the admission limiter above).
 	MapWorkers int
-	// DisableArenas turns off the covering DP's per-worker arena
-	// allocator for every request (core.Options.DisableArenas). Results
-	// are byte-identical either way; the knob exists so a service
-	// operator can A/B the allocation behaviour under live load.
-	DisableArenas bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Registry receives the server's and the mapper's metrics; nil means
@@ -921,16 +916,15 @@ func (s *Server) resolveRequest(ctx context.Context, req MapRequest) (*resolvedR
 	}
 	entryFrom(ctx).setDesign(net.Name, libName)
 	opts := core.Options{
-		MaxDepth:      req.MaxDepth,
-		MaxLeaves:     req.MaxLeaves,
-		MaxBurst:      req.MaxBurst,
-		Workers:       s.cfg.MapWorkers,
-		DisableArenas: s.cfg.DisableArenas,
-		HazardCache:   s.cfg.HazardCache,
-		Store:         s.cfg.Store,
-		Metrics:       s.reg,
-		Tracer:        s.cfg.Tracer,
-		RequestID:     RequestIDFromContext(ctx),
+		MaxDepth:    req.MaxDepth,
+		MaxLeaves:   req.MaxLeaves,
+		MaxBurst:    req.MaxBurst,
+		Workers:     s.cfg.MapWorkers,
+		HazardCache: s.cfg.HazardCache,
+		Store:       s.cfg.Store,
+		Metrics:     s.reg,
+		Tracer:      s.cfg.Tracer,
+		RequestID:   RequestIDFromContext(ctx),
 	}
 	switch req.Mode {
 	case "", "async":

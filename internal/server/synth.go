@@ -189,13 +189,12 @@ func (s *Server) synthOne(ctx context.Context, req SynthRequest) (*SynthResponse
 		Seed:    req.Seed,
 		WithVCD: req.VCD,
 		Map: core.Options{
-			Workers:       s.cfg.MapWorkers,
-			DisableArenas: s.cfg.DisableArenas,
-			HazardCache:   s.cfg.HazardCache,
-			Store:         s.cfg.Store,
-			Metrics:       s.reg,
-			Tracer:        s.cfg.Tracer,
-			RequestID:     RequestIDFromContext(ctx),
+			Workers:     s.cfg.MapWorkers,
+			HazardCache: s.cfg.HazardCache,
+			Store:       s.cfg.Store,
+			Metrics:     s.reg,
+			Tracer:      s.cfg.Tracer,
+			RequestID:   RequestIDFromContext(ctx),
 		},
 	}
 	timeout := s.cfg.DefaultTimeout
