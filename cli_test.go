@@ -162,6 +162,26 @@ func TestCLILibaudit(t *testing.T) {
 	}
 }
 
+// TestCLILibauditVerboseGolden pins the per-cell reports of libaudit -v
+// byte for byte: annotation no longer keeps the compact §4 records, so
+// the tool computes them itself and must print exactly what it printed
+// when annotation did.
+func TestCLILibauditVerboseGolden(t *testing.T) {
+	for _, lib := range []string{"Actel", "LSI9K"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "libaudit", lib+"-v.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, code := runSplit(t, "libaudit", "", "-lib", lib, "-v")
+		if code != 0 {
+			t.Fatalf("libaudit -lib %s -v failed (%d):\n%s", lib, code, out)
+		}
+		if out != string(want) {
+			t.Errorf("libaudit -lib %s -v differs from testdata/libaudit/%s-v.txt", lib, lib)
+		}
+	}
+}
+
 func TestCLIPaperbenchTable1(t *testing.T) {
 	out, code := run(t, "paperbench", "", "-table", "1")
 	if code != 0 {

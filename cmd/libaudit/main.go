@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"gfmap/internal/bench"
+	"gfmap/internal/hazard"
 	"gfmap/internal/library"
 )
 
@@ -60,7 +61,13 @@ func audit(lib *library.Library, verbose bool) {
 	for _, cell := range lib.HazardousCells() {
 		fmt.Printf("  %-10s %-30s %s\n", cell.Name, cell.Fn.String(), cell.Report.Summary())
 		if verbose {
-			fmt.Print(indent(cell.Report.Describe(cell.Fn.Vars)))
+			// Annotation keeps only the exact set; the report prints the
+			// paper's compact records too.
+			rep, err := hazard.AnalyzeFunctionShared(cell.Fn, cell.SharedMask())
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Print(indent(rep.Describe(cell.Fn.Vars)))
 		}
 	}
 }

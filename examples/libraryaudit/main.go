@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"gfmap/internal/hazard"
 	"gfmap/internal/library"
 )
 
@@ -25,11 +26,16 @@ func main() {
 		for _, cell := range lib.HazardousCells() {
 			fmt.Printf("   %-10s %-32s -> %s\n", cell.Name, cell.Fn.String(), cell.Report.Summary())
 		}
-		// Show one full report per library as an illustration.
+		// Show one full report per library as an illustration: the
+		// paper's compact records beside the exact transition sets.
 		if cells := lib.HazardousCells(); len(cells) > 0 {
 			cell := cells[0]
+			rep, err := hazard.AnalyzeFunctionShared(cell.Fn, cell.SharedMask())
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("\n   detailed report for %s:\n", cell.Name)
-			fmt.Print(indent(cell.Report.Describe(cell.Fn.Vars), "   | "))
+			fmt.Print(indent(rep.Describe(cell.Fn.Vars), "   | "))
 		}
 		fmt.Println()
 	}

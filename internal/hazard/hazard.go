@@ -9,7 +9,8 @@
 //
 //   - The compact algorithms mirror the paper and return hazard *records*
 //     (cubes, transition-space families). They scale to wide functions and
-//     drive library annotation and the hazardcheck CLI.
+//     drive the annotation of cells past the exact bound, the libaudit
+//     reports and the hazardcheck CLI.
 //   - Set is the exact transition-level characterisation used by the
 //     mapper's matching filter (§3.2.2): for the small support sizes of
 //     library cells and match clusters it enumerates every input transition

@@ -28,9 +28,9 @@ type Report struct {
 }
 
 // AnalyzeFunction runs every hazard-analysis algorithm on the expression.
-// This is the per-cell work the asynchronous mapper performs when a library
-// is read in (§3.2.1) and the per-subnetwork work performed when a
-// hazardous cell is considered as a match (§3.2.2).
+// This is the per-cell work the paper's mapper performed when a library
+// was read in (§3.2.1). Library annotation here keeps to the exact Set
+// within MaxExhaustiveVars, the only part the matching filter reads.
 func AnalyzeFunction(f *bexpr.Function) (*Report, error) {
 	return AnalyzeFunctionShared(f, 0)
 }

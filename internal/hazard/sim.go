@@ -31,18 +31,24 @@ const (
 	opOr
 )
 
-// simNode is one expression node of the compiled evaluator, stored in
-// postorder (kids before parents, root last). AND nodes count their false
-// kids, OR nodes their true kids, so toggling a leaf updates ancestors in
-// O(1) per level and propagation stops at the first node whose value is
-// unchanged.
+// simNode is one expression node of the compiled program, stored in
+// postorder (kids before parents, root last).
 type simNode struct {
-	op     uint8
-	cval   bool  // opConst: the constant value
-	val    bool  // current value
-	parent int32 // postorder index of the parent; -1 at the root
-	aux    int32 // opVar: leaf index; opAnd/opOr: kid count
-	count  int32 // opAnd: false kids; opOr: true kids
+	op   uint8
+	cval bool  // opConst: the constant value
+	aux  int32 // opVar: leaf index; opAnd/opOr: kid count
+}
+
+// laneMasks[g] marks the lanes j of a word whose bit g is set: the subsets
+// in which group g has switched, for the six groups that vary within one
+// word. Groups 6 and up are constant across a word and select the word.
+var laneMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
 }
 
 // Simulator classifies input transitions of a multi-level expression under
@@ -50,8 +56,15 @@ type simNode struct {
 // the output has its own arbitrary delay, so during a multi-input change
 // the leaf values flip one at a time in an arbitrary order. The output
 // glitches for some delay assignment iff it changes value more than
-// permitted along some interleaving — a condition the simulator decides
-// exactly with a subset dynamic program over the changing paths.
+// permitted along some interleaving.
+//
+// The intermediate states of a transition are the subsets S of its
+// independently switching path groups; v(S) is the output with the groups
+// in S at their new value. One word-parallel kernel evaluates the compiled
+// expression on 64 subsets per uint64 and decides the question directly:
+// a static transition glitches iff v is not constant, a dynamic one iff
+// some S1 ⊆ S2 has v(S1) = v(end) and v(S2) = v(start). The function-hazard
+// test is the same kernel with one group per changing variable.
 //
 // On two-level SOP structures the model coincides with the cube conditions
 // of Theorem 4.1 (a cube intersecting the transition space without
@@ -63,7 +76,7 @@ type Simulator struct {
 	n        int
 	leafVar  []int    // variable index of each leaf, in DFS order
 	varPaths []uint64 // for each variable, bitmask of its leaf indices
-	val      []bool   // cached static truth table
+	tt       []uint64 // truth table bitset, point p at bit p
 	// shared marks variables whose leaf occurrences ride one physical
 	// wire and therefore switch atomically — the pass-transistor (Actel
 	// Act2) select model of the paper's §6: in a transmission-gate mux
@@ -75,19 +88,15 @@ type Simulator struct {
 	// path analysis can be skipped.
 	multiPath uint64
 
-	nodes    []simNode
-	leafNode []int32 // postorder node index of each leaf
-	stack    []bool  // scratch for evalInit
-	vals     []bool  // scratch: root value per path subset
-	mc       []int8  // scratch: DP table over path subsets
+	nodes []simNode
 
-	// Scratch for changingGroups and functionMaxChanges. The fmc buffers
-	// are separate from vals/mc because Classify runs the function-hazard
-	// DP before the path analyses that reuse those.
-	groupsBuf []uint64
-	fmcCV     []uint64
-	fmcMC     []int8
-	fmcVals   []bool
+	// Kernel scratch: the switching groups of the current transition, the
+	// value word of every leaf, the evaluation stack, and the 2^k-bit set
+	// of subsets whose value equals the end value.
+	groups []uint64
+	leaves []uint64
+	stack  []uint64
+	ends   []uint64
 }
 
 // NewSimulator prepares a simulator for the expression. It requires at
@@ -105,25 +114,24 @@ func NewSimulatorShared(f *bexpr.Function, shared uint64) (*Simulator, error) {
 		return nil, fmt.Errorf("hazard: %d variables exceed the exact-analysis bound %d", n, MaxExhaustiveVars)
 	}
 	s := &Simulator{f: f, n: n, varPaths: make([]uint64, n), shared: shared}
-	var compile func(e *bexpr.Expr) (int32, error)
-	compile = func(e *bexpr.Expr) (int32, error) {
+	var compile func(e *bexpr.Expr) error
+	compile = func(e *bexpr.Expr) error {
 		switch e.Op {
 		case bexpr.OpConst:
 			s.nodes = append(s.nodes, simNode{op: opConst, cval: e.Val})
 		case bexpr.OpVar:
 			idx := len(s.leafVar)
 			if idx >= 64 {
-				return 0, fmt.Errorf("hazard: expression has more than 64 leaves")
+				return fmt.Errorf("hazard: expression has more than 64 leaves")
 			}
 			v := s.f.VarIndex(e.Name)
 			s.leafVar = append(s.leafVar, v)
 			s.varPaths[v] |= 1 << uint(idx)
 			s.nodes = append(s.nodes, simNode{op: opVar, aux: int32(idx)})
-			s.leafNode = append(s.leafNode, 0) // patched below
 		case bexpr.OpNot, bexpr.OpAnd, bexpr.OpOr:
 			for _, k := range e.Kids {
-				if _, err := compile(k); err != nil {
-					return 0, err
+				if err := compile(k); err != nil {
+					return err
 				}
 			}
 			op := uint8(opNot)
@@ -135,50 +143,27 @@ func NewSimulatorShared(f *bexpr.Function, shared uint64) (*Simulator, error) {
 			}
 			s.nodes = append(s.nodes, simNode{op: op, aux: int32(len(e.Kids))})
 		default:
-			return 0, fmt.Errorf("hazard: bad op %v", e.Op)
+			return fmt.Errorf("hazard: bad op %v", e.Op)
 		}
-		return int32(len(s.nodes) - 1), nil
+		return nil
 	}
-	root, err := compile(f.Root)
-	if err != nil {
+	if err := compile(f.Root); err != nil {
 		return nil, err
 	}
-	// Wire parents: walk the postorder again with an explicit stack of
-	// pending subtree roots.
-	s.nodes[root].parent = -1
-	var kids []int32
-	for i := range s.nodes {
-		nd := &s.nodes[i]
-		switch nd.op {
-		case opConst:
-			kids = append(kids, int32(i))
-		case opVar:
-			s.leafNode[nd.aux] = int32(i)
-			kids = append(kids, int32(i))
-		case opNot:
-			s.nodes[kids[len(kids)-1]].parent = int32(i)
-			kids = kids[:len(kids)-1]
-			kids = append(kids, int32(i))
-		case opAnd, opOr:
-			m := int(nd.aux)
-			for _, k := range kids[len(kids)-m:] {
-				s.nodes[k].parent = int32(i)
-			}
-			kids = kids[:len(kids)-m]
-			kids = append(kids, int32(i))
-		}
-	}
-	s.stack = make([]bool, 0, len(s.nodes))
-	size := uint64(1) << uint(n)
-	s.val = make([]bool, size)
-	for p := uint64(0); p < size; p++ {
-		s.val[p] = f.Eval(p)
-	}
+	s.leaves = make([]uint64, len(s.leafVar))
+	s.stack = make([]uint64, 0, len(s.nodes))
 	for v := 0; v < n; v++ {
 		if s.groupCount(v) > 1 {
 			s.multiPath |= 1 << uint(v)
 		}
 	}
+	// The truth table is the kernel run from the all-zero point with one
+	// group per variable: subset S is then the point S itself.
+	s.tt = make([]uint64, words(n))
+	s.scan(0, s.varPaths, func(w int, x uint64) bool {
+		s.tt[w] = x
+		return false
+	})
 	return s, nil
 }
 
@@ -195,102 +180,151 @@ func (s *Simulator) groupCount(v int) int {
 	return bits.OnesCount64(s.varPaths[v])
 }
 
-// Eval returns the cached static value of the function at a point.
-func (s *Simulator) Eval(p uint64) bool { return s.val[p] }
+// value returns the function's value at a point.
+func (s *Simulator) value(p uint64) bool { return s.tt[p>>6]>>(p&63)&1 != 0 }
 
-// evalInit initialises every node value (and the AND/OR kid counters) for
-// an explicit value per leaf, given as a bitmask over DFS leaf indices,
-// and returns the root value.
-func (s *Simulator) evalInit(leafBits uint64) bool {
-	st := s.stack[:0]
-	for i := range s.nodes {
-		nd := &s.nodes[i]
-		var v bool
-		switch nd.op {
-		case opConst:
-			v = nd.cval
-		case opVar:
-			v = leafBits&(1<<uint(nd.aux)) != 0
-		case opNot:
-			v = !st[len(st)-1]
-			st = st[:len(st)-1]
-		case opAnd:
-			m := int(nd.aux)
-			f := int32(0)
-			for _, kv := range st[len(st)-m:] {
-				if !kv {
-					f++
-				}
-			}
-			st = st[:len(st)-m]
-			nd.count = f
-			v = f == 0
-		case opOr:
-			m := int(nd.aux)
-			tc := int32(0)
-			for _, kv := range st[len(st)-m:] {
-				if kv {
-					tc++
-				}
-			}
-			st = st[:len(st)-m]
-			nd.count = tc
-			v = tc > 0
-		}
-		nd.val = v
-		st = append(st, v)
+// words returns the number of uint64 words holding one bit per subset of
+// k groups.
+func words(k int) int {
+	if k <= 6 {
+		return 1
 	}
-	s.stack = st[:0]
-	return st[len(st)-1]
+	return 1 << uint(k-6)
 }
 
-// flipLeaf toggles one leaf and incrementally re-evaluates the ancestors,
-// stopping at the first node whose value does not change.
-func (s *Simulator) flipLeaf(leaf int) {
-	i := s.leafNode[leaf]
-	nd := &s.nodes[i]
-	nd.val = !nd.val
-	childVal := nd.val
-	p := nd.parent
-	for p >= 0 {
-		pn := &s.nodes[p]
-		var nv bool
-		switch pn.op {
-		case opNot:
-			nv = !pn.val
-		case opAnd:
-			if childVal {
-				pn.count--
-			} else {
-				pn.count++
-			}
-			nv = pn.count == 0
-		case opOr:
-			if childVal {
-				pn.count++
-			} else {
-				pn.count--
-			}
-			nv = pn.count > 0
-		}
-		if nv == pn.val {
+// scan evaluates the expression on every subset of the switching groups
+// of a transition from point a, 64 subsets per word: lane j of word w is
+// the subset with bits j (groups 0–5) and w (groups 6 and up). Words are
+// visited in Gray-code order, so each step complements the leaves of one
+// group. visit receives the word index and the root values; it returns
+// true to stop the scan early. With fewer than six groups the lanes past
+// 2^k repeat the valid ones.
+func (s *Simulator) scan(a uint64, groups []uint64, visit func(w int, x uint64) bool) {
+	for i, v := range s.leafVar {
+		s.leaves[i] = -(a >> uint(v) & 1)
+	}
+	for g, leaves := range groups[:min(len(groups), 6)] {
+		s.complement(leaves, laneMasks[g])
+	}
+	nw, gray := words(len(groups)), 0
+	for i := 1; ; i++ {
+		if visit(gray, s.eval()) || i == nw {
 			return
 		}
-		pn.val = nv
-		childVal = nv
-		p = pn.parent
+		j := bits.TrailingZeros(uint(i))
+		s.complement(groups[6+j], ^uint64(0))
+		gray ^= 1 << uint(j)
 	}
 }
 
-// rootVal returns the current incrementally maintained root value.
-func (s *Simulator) rootVal() bool { return s.nodes[len(s.nodes)-1].val }
+// complement flips the given leaves in the lanes of mask.
+func (s *Simulator) complement(leaves, mask uint64) {
+	for ; leaves != 0; leaves &= leaves - 1 {
+		s.leaves[bits.TrailingZeros64(leaves)] ^= mask
+	}
+}
+
+// eval runs the compiled program on the current leaf words and returns
+// the root word.
+func (s *Simulator) eval() uint64 {
+	st := s.stack[:0]
+	for _, nd := range s.nodes {
+		switch nd.op {
+		case opConst:
+			var x uint64
+			if nd.cval {
+				x = ^x
+			}
+			st = append(st, x)
+		case opVar:
+			st = append(st, s.leaves[nd.aux])
+		case opNot:
+			st[len(st)-1] = ^st[len(st)-1]
+		case opAnd:
+			m := len(st) - int(nd.aux)
+			x := st[m]
+			for _, y := range st[m+1:] {
+				x &= y
+			}
+			st = append(st[:m], x)
+		case opOr:
+			m := len(st) - int(nd.aux)
+			x := st[m]
+			for _, y := range st[m+1:] {
+				x |= y
+			}
+			st = append(st[:m], x)
+		}
+	}
+	return st[0]
+}
+
+// glitches reports whether the transition from point a, switching the
+// given groups, changes the output more often than its endpoint values
+// start and end require under some interleaving. A static transition
+// (start == end) glitches iff some subset's value differs from the
+// endpoints': every subset lies on a monotone chain, so one deviation is
+// two output changes. A dynamic one glitches iff some S1 ⊆ S2 has
+// v(S1) = end and v(S2) = start — the chain ∅ ⊂ S1 ⊂ S2 ⊂ all then
+// changes at least three times. Such a pair exists iff the set E of
+// end-valued subsets is not closed under supersets, and E is closed under
+// supersets iff adding any single group to a member stays in E; the kernel
+// checks that one group at a time, within each word by shifting lanes and
+// across words in the 2^k-bit bitset.
+func (s *Simulator) glitches(a uint64, groups []uint64, start, end bool) bool {
+	k := len(groups)
+	lanes := ^uint64(0)
+	if k < 6 {
+		lanes = 1<<(1<<uint(k)) - 1
+	}
+	var endWord uint64
+	if end {
+		endWord = ^endWord
+	}
+	hazard := false
+	if start == end {
+		s.scan(a, groups, func(_ int, x uint64) bool {
+			hazard = (x^endWord)&lanes != 0
+			return hazard
+		})
+		return hazard
+	}
+	nw := words(k)
+	if cap(s.ends) < nw {
+		s.ends = make([]uint64, nw)
+	}
+	ends := s.ends[:nw]
+	s.scan(a, groups, func(w int, x uint64) bool {
+		e := ^(x ^ endWord) & lanes
+		for g := 0; g < min(k, 6); g++ {
+			if (e&^laneMasks[g])<<(1<<uint(g))&^e != 0 {
+				hazard = true
+				return true
+			}
+		}
+		ends[w] = e
+		return false
+	})
+	if hazard {
+		return true
+	}
+	for j := 0; j < k-6; j++ {
+		bit := 1 << uint(j)
+		for w := range ends {
+			if w&bit == 0 && ends[w]&^ends[w|bit] != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // changingGroups collects the independently switching groups of leaf
 // indices for the transition a→b: one group per leaf for ordinary
 // variables, one group per variable for shared ones.
 func (s *Simulator) changingGroups(a, b uint64) ([]uint64, error) {
 	changing := a ^ b
-	groups := s.groupsBuf[:0]
+	groups := s.groups[:0]
 	for v := 0; v < s.n; v++ {
 		if changing&(1<<uint(v)) == 0 {
 			continue
@@ -308,135 +342,26 @@ func (s *Simulator) changingGroups(a, b uint64) ([]uint64, error) {
 			groups = append(groups, bit)
 		}
 	}
-	s.groupsBuf = groups
+	s.groups = groups
 	if k := len(groups); k > MaxSkewPaths {
 		return nil, fmt.Errorf("hazard: transition flips %d paths, exceeding the %d-path bound", k, MaxSkewPaths)
 	}
 	return groups, nil
 }
 
-// fillVals enumerates every subset of the changing groups in Gray-code
-// order — each step toggles the leaves of exactly one group — and records
-// the root value per subset in s.vals. Since every group belongs to a
-// changing variable, its leaves differ between the endpoints, so toggling
-// is exactly the switch to the other endpoint's value.
-func (s *Simulator) fillVals(a uint64, groups []uint64) []bool {
-	k := len(groups)
-	size := 1 << uint(k)
-	if cap(s.vals) < size {
-		s.vals = make([]bool, size)
-	}
-	vals := s.vals[:size]
-	vals[0] = s.evalInit(s.leafBitsAt(a))
-	gray := 0
-	for i := 1; i < size; i++ {
-		j := bits.TrailingZeros64(uint64(i))
-		for leaves := groups[j]; leaves != 0; {
-			bit := leaves & -leaves
-			leaves &^= bit
-			s.flipLeaf(bits.TrailingZeros64(bit))
-		}
-		gray ^= 1 << uint(j)
-		vals[gray] = s.rootVal()
-	}
-	return vals
-}
-
-// leafBitsAt returns the leaf-value bitmask corresponding to a static
-// input point.
-func (s *Simulator) leafBitsAt(p uint64) uint64 {
-	var out uint64
-	for i, v := range s.leafVar {
-		if p&(1<<uint(v)) != 0 {
-			out |= 1 << uint(i)
+// functionHazard reports whether the function itself — every changing
+// variable one group, all its leaves switching together — changes more
+// often along some monotone path from a to b than the endpoints require.
+// Variables without leaves cannot move the value and are left out.
+func (s *Simulator) functionHazard(a, b uint64) bool {
+	groups := s.groups[:0]
+	for v := 0; v < s.n; v++ {
+		if (a^b)&(1<<uint(v)) != 0 && s.varPaths[v] != 0 {
+			groups = append(groups, s.varPaths[v])
 		}
 	}
-	return out
-}
-
-// maxChangesDP runs the subset-lattice dynamic program over the filled
-// vals table: mc[sub] = max changes along any monotone chain from the
-// empty set to sub. If limit >= 0 the scan returns early with limit+1 as
-// soon as any subset exceeds it (mc is monotone along the lattice, so the
-// full-set value can only be larger).
-func (s *Simulator) maxChangesDP(vals []bool, limit int) int {
-	size := len(vals)
-	if cap(s.mc) < size {
-		s.mc = make([]int8, size)
-	}
-	mc := s.mc[:size]
-	mc[0] = 0
-	for sub := 1; sub < size; sub++ {
-		best := int8(-1)
-		rest := sub
-		for rest != 0 {
-			j := bits.TrailingZeros64(uint64(rest))
-			rest &^= 1 << uint(j)
-			prev := sub &^ (1 << uint(j))
-			c := mc[prev]
-			if vals[sub] != vals[prev] {
-				c++
-			}
-			if c > best {
-				best = c
-			}
-		}
-		mc[sub] = best
-		if limit >= 0 && int(best) > limit {
-			return limit + 1
-		}
-	}
-	return int(mc[size-1])
-}
-
-// MaxOutputChanges returns the largest number of output value changes over
-// all interleavings of the changing paths for the transition a→b. Leaves
-// of shared variables switch together as one event.
-func (s *Simulator) MaxOutputChanges(a, b uint64) (int, error) {
-	groups, err := s.changingGroups(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return s.maxChangesDP(s.fillVals(a, groups), -1), nil
-}
-
-// staticPathHazard reports whether the static transition a→b (equal
-// endpoint values) glitches under some interleaving: true iff any path
-// subset yields a root value different from the endpoints' — every subset
-// lies on a monotone chain, so one deviation forces at least two output
-// changes.
-func (s *Simulator) staticPathHazard(a, b uint64) (bool, error) {
-	groups, err := s.changingGroups(a, b)
-	if err != nil {
-		return false, err
-	}
-	k := len(groups)
-	want := s.evalInit(s.leafBitsAt(a))
-	gray := 0
-	for i := 1; i < 1<<uint(k); i++ {
-		j := bits.TrailingZeros64(uint64(i))
-		for leaves := groups[j]; leaves != 0; {
-			bit := leaves & -leaves
-			leaves &^= bit
-			s.flipLeaf(bits.TrailingZeros64(bit))
-		}
-		gray ^= 1 << uint(j)
-		if s.rootVal() != want {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// dynamicPathHazard reports whether the function-hazard-free dynamic
-// transition a→b changes the output more than once under some
-// interleaving.
-func (s *Simulator) dynamicPathHazard(a, b uint64) (bool, error) {
-	groups, err := s.changingGroups(a, b)
-	if err != nil {
-		return false, err
-	}
-	return s.maxChangesDP(s.fillVals(a, groups), 1) > 1, nil
+	s.groups = groups
+	return s.glitches(a, groups, s.value(a), s.value(b))
 }
 
 // Classify determines whether the transition between points a and b is
@@ -444,99 +369,30 @@ func (s *Simulator) dynamicPathHazard(a, b uint64) (bool, error) {
 // whether a logic hazard is present. Function-hazardous transitions are
 // never logic hazards (ok=false, hazard=false).
 func (s *Simulator) Classify(a, b uint64) (kind Kind, hazardous bool, err error) {
-	fa, fb := s.val[a], s.val[b]
-	fmc := s.functionMaxChanges(a, b)
+	fa, fb := s.value(a), s.value(b)
+	if s.functionHazard(a, b) {
+		return 0, false, nil
+	}
+	switch {
+	case fa != fb:
+		kind = KindDynamic
+	case fa:
+		kind = KindStatic1
+	default:
+		kind = KindStatic0
+	}
 	// When every changing variable contributes at most one independent
 	// path group, leaf-subset evaluation coincides with truth-table
 	// evaluation: the interleaving behaviour is exactly the function's, so
 	// a function-hazard-free transition cannot be logic-hazardous.
-	pure := (a^b)&s.multiPath == 0
-	if fa == fb {
-		if fmc > 0 {
-			return 0, false, nil // static function hazard
-		}
-		if pure {
-			if fa {
-				return KindStatic1, false, nil
-			}
-			return KindStatic0, false, nil
-		}
-		hz, err := s.staticPathHazard(a, b)
-		if err != nil {
-			return 0, false, err
-		}
-		if fa {
-			return KindStatic1, hz, nil
-		}
-		return KindStatic0, hz, nil
+	if (a^b)&s.multiPath == 0 {
+		return kind, false, nil
 	}
-	if fmc > 1 {
-		return 0, false, nil // dynamic function hazard
-	}
-	if pure {
-		return KindDynamic, false, nil
-	}
-	hz, err := s.dynamicPathHazard(a, b)
+	groups, err := s.changingGroups(a, b)
 	if err != nil {
 		return 0, false, err
 	}
-	return KindDynamic, hz, nil
-}
-
-// functionMaxChanges returns the largest number of value changes of the
-// *function* along any monotone path of input points from a to b — the
-// function-hazard counterpart of MaxOutputChanges. A static transition has
-// a function hazard iff the result is positive; a dynamic one iff it
-// exceeds one. The DP runs over subsets of the changing variables, reading
-// the cached truth table, so it is fast even for wide supports.
-func (s *Simulator) functionMaxChanges(a, b uint64) int {
-	changing := a ^ b
-	cv := s.fmcCV[:0]
-	for v := 0; v < s.n; v++ {
-		if changing&(1<<uint(v)) != 0 {
-			cv = append(cv, 1<<uint(v))
-		}
-	}
-	s.fmcCV = cv
-	k := len(cv)
-	if k == 0 {
-		return 0
-	}
-	size := 1 << uint(k)
-	if cap(s.fmcMC) < size {
-		s.fmcMC = make([]int8, size)
-		s.fmcVals = make([]bool, size)
-	}
-	mc := s.fmcMC[:size]
-	vals := s.fmcVals[:size]
-	mc[0] = 0
-	for sub := 0; sub < size; sub++ {
-		p := a
-		for j := 0; j < k; j++ {
-			if sub&(1<<uint(j)) != 0 {
-				p = (p &^ cv[j]) | (b & cv[j])
-			}
-		}
-		vals[sub] = s.val[p]
-	}
-	for sub := 1; sub < size; sub++ {
-		best := int8(-1)
-		rest := sub
-		for rest != 0 {
-			j := bits.TrailingZeros64(uint64(rest))
-			rest &^= 1 << uint(j)
-			prev := sub &^ (1 << uint(j))
-			c := mc[prev]
-			if vals[sub] != vals[prev] {
-				c++
-			}
-			if c > best {
-				best = c
-			}
-		}
-		mc[sub] = best
-	}
-	return int(mc[size-1])
+	return kind, s.glitches(a, groups, fa, fb), nil
 }
 
 // AnalyzeShared computes the exact hazard set of an expression in which
@@ -562,16 +418,25 @@ func (s *Simulator) analyzeWorkEstimate() float64 {
 	return est
 }
 
-// Analyze enumerates every unordered pair of input points and builds the
-// exact hazard set of the implementation.
+// Analyze builds the exact hazard set of the implementation. Only the
+// unordered endpoint pairs that flip a multi-path variable are
+// classified: every other pair is hazard-free by Classify's truth-table
+// rule. Pairs are visited in ascending (a, b) order, so the first pair to
+// exceed MaxSkewPaths is the same as in a full enumeration.
 func (s *Simulator) Analyze() (*Set, error) {
 	if est := s.analyzeWorkEstimate(); est > maxAnalyzeWork {
 		return nil, fmt.Errorf("hazard: exact analysis needs ~%.2g interleaving states, exceeding the %d budget (expression repeats too many literals)", est, int64(maxAnalyzeWork))
 	}
 	set := NewSet(s.n)
+	if s.multiPath == 0 {
+		return set, nil
+	}
 	size := uint64(1) << uint(s.n)
 	for a := uint64(0); a < size; a++ {
 		for b := a + 1; b < size; b++ {
+			if (a^b)&s.multiPath == 0 {
+				continue
+			}
 			kind, hazardous, err := s.Classify(a, b)
 			if err != nil {
 				return nil, err
@@ -580,7 +445,7 @@ func (s *Simulator) Analyze() (*Set, error) {
 				continue
 			}
 			tr := Transition{From: a, To: b}
-			if kind == KindDynamic && s.val[a] {
+			if kind == KindDynamic && s.value(a) {
 				tr = Transition{From: b, To: a} // From is the 0-endpoint
 			}
 			set.add(kind, tr)
@@ -596,7 +461,11 @@ func (s *Simulator) DynamicTransitionHazardous(zero, one uint64) (bool, error) {
 	if (zero^one)&s.multiPath == 0 {
 		// Single-path-per-variable: interleavings reproduce exactly the
 		// function's own behaviour.
-		return s.functionMaxChanges(zero, one) > 1, nil
+		return s.functionHazard(zero, one), nil
 	}
-	return s.dynamicPathHazard(zero, one)
+	groups, err := s.changingGroups(zero, one)
+	if err != nil {
+		return false, err
+	}
+	return s.glitches(zero, groups, s.value(zero), s.value(one)), nil
 }

@@ -92,3 +92,26 @@ func TestFingerprintNotMemoized(t *testing.T) {
 		t.Fatal("fingerprint memoized across a field mutation")
 	}
 }
+
+// TestBuiltinFingerprintsPinned pins the annotated built-in libraries'
+// fingerprints. They key every persistent mapstore entry, so a change in
+// how annotation is computed that left a hazard set, or anything else
+// the digest covers, different would silently turn existing stores cold.
+func TestBuiltinFingerprintsPinned(t *testing.T) {
+	want := map[string]string{
+		"LSI9K":     "8d1c87bafc6cf175b4f8093dee9b7d0163bd11f559230142c1df3f842e086160",
+		"CMOS3":     "350935f3301eada68936cd862c1ffd9af25ab4b9a3cb64b7b9ea2e8df361ee9f",
+		"GDT":       "61bd07183df50668db42d663080a667753c1285c88b0b3c47c64280037ac4f86",
+		"Actel":     "6938da60f3454380490782631862df407a83154c09c8f37e4007a590f3be2b9c",
+		"ActelAct2": "459ce8c2b41fccc3ac9d0fbe77fff53f1ebc00398a9ebd329d67035e15637331",
+	}
+	for _, name := range ExtendedNames {
+		l, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Fingerprint(); got != want[name] {
+			t.Errorf("%s fingerprint %s, want %s", name, got, want[name])
+		}
+	}
+}

@@ -46,12 +46,15 @@ type Cell struct {
 	// step). It is nil before annotation and for cells whose pin count
 	// exceeds the exact-analysis bound.
 	Hazards *hazard.Set
-	// Report carries the compact hazard records for reporting.
+	// Report is the annotation's hazard report: just the exact Set for
+	// cells within hazard.MaxExhaustiveVars pins, the paper's compact §4
+	// records past it. Reports that print the records for a small cell
+	// run hazard.AnalyzeFunctionShared themselves.
 	Report *hazard.Report
 }
 
-// sharedMask returns the variable bitmask of the shared pins.
-func (c *Cell) sharedMask() uint64 {
+// SharedMask returns the variable bitmask of the shared pins.
+func (c *Cell) SharedMask() uint64 {
 	var m uint64
 	for _, p := range c.SharedPins {
 		if i := c.Fn.VarIndex(p); i >= 0 {
@@ -146,15 +149,23 @@ func (l *Library) Cell(name string) *Cell { return l.byName[name] }
 // Annotated reports whether hazard annotation has run.
 func (l *Library) Annotated() bool { return l.annotated }
 
-// Annotate runs the full hazard analysis on every cell — the additional
+// Annotate computes every cell's hazard set — the additional
 // initialisation work of the asynchronous mapper measured in Table 2 of
-// the paper. It is idempotent.
+// the paper. Within the exact-analysis bound only the Set the matching
+// filter reads is computed; past it the compact §4 records decide
+// whether the cell is hazardous. It is idempotent.
 func (l *Library) Annotate() error {
 	if l.annotated {
 		return nil
 	}
 	for _, c := range l.Cells {
-		rep, err := hazard.AnalyzeFunctionShared(c.Fn, c.sharedMask())
+		rep := &hazard.Report{}
+		var err error
+		if c.NumPins() <= hazard.MaxExhaustiveVars {
+			rep.Set, err = hazard.AnalyzeShared(c.Fn, c.SharedMask())
+		} else {
+			rep, err = hazard.AnalyzeFunctionShared(c.Fn, c.SharedMask())
+		}
 		if err != nil {
 			return fmt.Errorf("library %s: cell %s: %w", l.Name, c.Name, err)
 		}
