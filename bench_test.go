@@ -1,8 +1,10 @@
 package gfmap
 
 // The benchmarks below regenerate each table of the paper's evaluation
-// under `go test -bench`. One benchmark per table; figures are covered by
-// deterministic tests in internal/hazard and internal/core. Run with:
+// under `go test -bench`. One benchmark per table; Table 2's, the
+// library build plus hazard annotation, is BenchmarkAnnotate in
+// internal/bench. Figures are covered by deterministic tests in
+// internal/hazard and internal/core. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -36,25 +38,6 @@ func BenchmarkTable1LibraryCensus(b *testing.B) {
 		if len(rows) != 4 {
 			b.Fatal("bad census")
 		}
-	}
-}
-
-// BenchmarkTable2LibraryInit measures the Table 2 workload per library:
-// the asynchronous mapper's initialisation (build + hazard annotation of
-// every cell). This is the paper's headline hazard-analysis cost.
-func BenchmarkTable2LibraryInit(b *testing.B) {
-	for _, name := range library.BuiltinNames {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lib, err := library.Build(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := lib.Annotate(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -161,6 +161,50 @@ func TestRetryAfter500(t *testing.T) {
 	}
 }
 
+// TestRetryNotStuckBehindHungWorker: with hedging off and no per-attempt
+// timeout, a job that failed on one worker goes back to that worker when
+// the worker that has not tried it has no free runner (its only runner
+// hangs on the other job), instead of waiting for a runner that never
+// frees up.
+func TestRetryNotStuckBehindHungWorker(t *testing.T) {
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	t.Cleanup(bad.Close)
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
+		fmt.Fprint(w, "late")
+	}))
+	t.Cleanup(hung.Close)
+	defer goroutineGuard(t)()
+	c := mustNew(t, Config{
+		Workers: []string{bad.URL, hung.URL}, PerWorker: 1, HedgeAfter: -1,
+		Local: func(ctx context.Context, job Job) (int, []byte, error) {
+			return http.StatusOK, []byte("local-ok"), nil
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ch := c.Go(ctx, []Job{{Index: 0, Path: "/"}, {Index: 1, Path: "/"}})
+	first := <-ch
+	close(release)
+	if first.Err != nil || first.Worker != LocalWorker || first.Attempts != 3 {
+		t.Fatalf("want the failing job retried on its worker until Local took it, got %+v", first)
+	}
+	second := <-ch
+	if second.Err != nil || second.Worker != hung.URL {
+		t.Fatalf("want the hung worker's job to win there once released, got %+v", second)
+	}
+	if _, ok := <-ch; ok {
+		t.Fatal("result channel not closed after every job delivered")
+	}
+}
+
 // TestValidateRejectsCorruptBody: a 200 whose body fails Validate is a
 // worker failure — retried elsewhere, not surfaced to the caller.
 func TestValidateRejectsCorruptBody(t *testing.T) {
