@@ -21,7 +21,6 @@ package bexpr
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gfmap/internal/cube"
 )
@@ -158,59 +157,62 @@ func (e *Expr) Depth() int {
 // String renders the expression with '+', juxtaposition-by-'*' and postfix
 // apostrophe complement, parenthesising as needed.
 func (e *Expr) String() string {
-	var b strings.Builder
-	e.write(&b, 0)
-	return b.String()
+	var buf [64]byte
+	return string(e.AppendString(buf[:0]))
 }
 
+// AppendString appends the String rendering of the expression to dst.
+func (e *Expr) AppendString(dst []byte) []byte { return e.write(dst, 0) }
+
 // precedence levels: OR=1, AND=2, NOT/leaf=3.
-func (e *Expr) write(b *strings.Builder, parent int) {
+func (e *Expr) write(b []byte, parent int) []byte {
 	switch e.Op {
 	case OpConst:
 		if e.Val {
-			b.WriteByte('1')
+			b = append(b, '1')
 		} else {
-			b.WriteByte('0')
+			b = append(b, '0')
 		}
 	case OpVar:
-		b.WriteString(e.Name)
+		b = append(b, e.Name...)
 	case OpNot:
 		k := e.Kids[0]
 		if k.Op == OpVar || k.Op == OpConst {
-			k.write(b, 3)
-			b.WriteByte('\'')
+			b = k.write(b, 3)
+			b = append(b, '\'')
 		} else {
-			b.WriteByte('(')
-			k.write(b, 0)
-			b.WriteString(")'")
+			b = append(b, '(')
+			b = k.write(b, 0)
+			b = append(b, ")'"...)
 		}
 	case OpAnd:
 		if parent > 2 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteByte('*')
+				b = append(b, '*')
 			}
-			k.write(b, 2)
+			b = k.write(b, 2)
 		}
 		if parent > 2 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	case OpOr:
 		if parent > 1 {
-			b.WriteByte('(')
+			b = append(b, '(')
 		}
 		for i, k := range e.Kids {
 			if i > 0 {
-				b.WriteString(" + ")
+				b = append(b, " + "...)
 			}
-			k.write(b, 1)
+			b = k.write(b, 1)
 		}
 		if parent > 1 {
-			b.WriteByte(')')
+			b = append(b, ')')
 		}
 	}
+	return b
 }
 
 // New builds a Function from an expression root; the variable order is the

@@ -25,7 +25,7 @@ import (
 	"sync"
 
 	"gfmap/internal/bexpr"
-	"gfmap/internal/match"
+	"gfmap/internal/library"
 	"gfmap/internal/truthtab"
 )
 
@@ -183,7 +183,6 @@ type coneScratch struct {
 	exprs exprArena // cluster expression trees; reset per cut
 
 	varNodes []int    // cluster variable -> tree node, reused per cut
-	demand   []int    // per-variable phase demand, reused per binding
 	names    []string // cluster variable names (all from the static table)
 	keyBuf   []byte   // match-index probe key, reused per cut
 
@@ -191,9 +190,9 @@ type coneScratch struct {
 	ttPos, ttNeg   truthtab.TT
 	sigPos, sigNeg truthtab.SigVector
 
-	fn  bexpr.Function // the cluster function, Reset per cut
-	mc  matchCtx       // binding visitor, rebound per tryCell
-	msc match.Scratch  // permutation-search state
+	fn   bexpr.Function      // the cluster function, Reset per cut
+	mc   matchCtx            // binding visitor, rebound per replayed cell
+	fill library.FillScratch // memo fills: permutation search and entry under construction
 }
 
 // stamp advances the epoch and returns marks resized to n. Entries are
@@ -227,7 +226,7 @@ func (sc *coneScratch) beginCone() {
 func (sc *coneScratch) scrub() {
 	sc.mc = matchCtx{}
 	sc.fn.Reset(nil, nil)
-	sc.msc.Scrub()
+	sc.fill.Scrub()
 	sc.ttPos.N, sc.ttNeg.N = 0, 0
 	clear(sc.ttPos.Bits)
 	clear(sc.ttNeg.Bits)
@@ -237,7 +236,6 @@ func (sc *coneScratch) scrub() {
 	clear(sc.sigPos.C1)
 	clear(sc.sigNeg.C0)
 	clear(sc.sigNeg.C1)
-	clear(sc.demand)
 	clear(sc.keyBuf[:cap(sc.keyBuf)])
 	sc.keyBuf = sc.keyBuf[:0]
 }

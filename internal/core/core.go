@@ -236,8 +236,9 @@ type Stats struct {
 	// value means pathological cones may have been mapped suboptimally.
 	CutTruncations int
 
-	// Boolean-matching accounting. FindInvocations counts permutation
-	// searches actually run (per cell, per cluster phase); IndexProbes
+	// Boolean-matching accounting. FindInvocations counts the candidate
+	// (cell, cluster phase) pairs examined, whether the cell's bindings
+	// were searched for or replayed from the library's match memo; IndexProbes
 	// counts cluster-signature lookups against the library match index;
 	// IndexSkippedCells counts same-pin-count cells the index proved
 	// unmatchable without a search; SymmetryPruned counts bindings the

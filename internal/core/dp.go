@@ -57,6 +57,10 @@ type mapper struct {
 	// memory from; one goroutine owns it at a time.
 	sc *coneScratch
 
+	// midx is the library's match index, taken once per run: every cut
+	// probes its buckets and replays its memo.
+	midx *library.MatchIndex
+
 	inv        *library.Cell
 	bufCell    *library.Cell
 	invSignals map[string]string
@@ -120,6 +124,9 @@ type tnode struct {
 }
 
 // choice records how a node's function (in one phase) is best realised.
+// The DP keeps one choice per node and phase in per-cone storage and
+// overwrites it in place on every improvement; a match binding's Perm
+// aliases the library's immutable memo entry.
 type choice struct {
 	// Inverter from the opposite phase.
 	fromOtherPhase bool
@@ -157,13 +164,27 @@ type coneMapper struct {
 	emitted  map[[2]int]string
 	matCount int
 
+	// choices and varNodes are the per-cone storage of the DP's match
+	// choices: one slot per (node, phase) that ever gets a match, each with
+	// room for a cluster's variable nodes. Heap memory owned by the cone,
+	// never pooled: the choices outlive the DP (encoding, emission).
+	choices  []choice
+	varNodes []int
+
 	// stop latches the run context's error once a hot-loop poll observes
 	// cancellation, so the enclosing binding search and cut loops unwind
 	// immediately instead of re-polling.
 	stop error
 }
 
+// otherPhase is the shared choice of realising a node as the inverse of
+// its other phase. It carries no data, so every node can point at it.
+var otherPhase = &choice{fromOtherPhase: true}
+
+// ensureCells takes the run's match index and resolves the inverter and
+// buffer cells.
 func (m *mapper) ensureCells() error {
+	m.midx = m.lib.MatchIndex()
 	if m.inv == nil {
 		m.inv = m.lib.MinInverter()
 		if m.inv == nil {
@@ -369,7 +390,7 @@ func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, error) {
 			// order never shows). Worker w records its cone spans on trace
 			// track w+1 and owns one arena scratch for its whole lifetime —
 			// strictly private, so no locking anywhere on the hot path.
-			shadow := &mapper{lib: m.lib, opts: m.opts, netlist: m.netlist,
+			shadow := &mapper{lib: m.lib, opts: m.opts, netlist: m.netlist, midx: m.midx,
 				inv: m.inv, bufCell: m.bufCell, tid: w + 1, met: m.met,
 				reserved: m.reserved, store: m.store, seed: m.seed,
 				libFP: m.libFP, optHash: m.optHash, sc: acquireScratch()}
@@ -752,29 +773,30 @@ func (cm *coneMapper) dpNode(id int) error {
 		if err := truthtab.FromExprInto(fn, &sc.ttPos); err != nil {
 			continue
 		}
-		sc.ttPos.NotInto(&sc.ttNeg)
 		sc.ttPos.SigVecInto(&sc.sigPos)
-		sc.sigPos.ComplementInto(&sc.sigNeg)
 		sc.mc.beginCut()
 		// One probe of the library's signature-keyed match index serves both
 		// phases (the key is output-phase-invariant), and only cells the key
-		// proves compatible get a permutation search.
+		// proves compatible are matched.
 		sc.keyBuf = sc.sigPos.AppendCanonKey(sc.keyBuf[:0])
-		cands := cm.m.lib.CandidatesKey(sc.keyBuf)
+		cands := cm.m.midx.Candidates(sc.keyBuf)
 		cm.m.stats.IndexProbes++
-		cm.m.stats.IndexSkippedCells += cm.m.lib.NumCellsWithPins(nvars) - len(cands)
+		cm.m.stats.IndexSkippedCells += cm.m.midx.CellsWithPins(nvars) - len(cands)
+		if len(cands) == 0 {
+			continue
+		}
+		sc.ttPos.NotInto(&sc.ttNeg)
+		sc.sigPos.ComplementInto(&sc.sigNeg)
 		for phase := 0; phase < 2; phase++ {
 			target, tsig := sc.ttPos, sc.sigPos
 			if phase == phaseNeg {
 				target, tsig = sc.ttNeg, sc.sigNeg
 			}
-			for _, ic := range cands {
-				if ic.Matcher.Sig().Ones != tsig.Ones {
-					continue // the cell matches the other phase only
-				}
-				cm.m.stats.FindInvocations++
-				cm.tryCell(id, phase, fn, target, tsig, ic.Cell, ic.Matcher, varNodes)
+			list, err := cm.m.midx.Matches(cm.m.opts.Ctx, cands, target, tsig, &sc.fill)
+			if err != nil {
+				return err
 			}
+			cm.replay(id, phase, fn, list, varNodes)
 		}
 	}
 	// A cancellation observed inside the final cut's binding search must
@@ -789,7 +811,7 @@ func (cm *coneMapper) dpNode(id int) error {
 		c := cost{area: n.cost[other].area + cm.m.inv.Area, delay: n.cost[other].delay + cm.m.inv.Delay}
 		if c.better(n.cost[phase], cm.m.opts.Objective) {
 			n.cost[phase] = c
-			n.choice[phase] = &choice{fromOtherPhase: true}
+			n.choice[phase] = otherPhase
 		}
 	}
 	if n.cost[phasePos].area >= inf && n.cost[phaseNeg].area >= inf {
@@ -799,9 +821,9 @@ func (cm *coneMapper) dpNode(id int) error {
 }
 
 // matchCtx is the binding visitor. Its per-binding state lives in the
-// worker's scratch, rebound per tryCell call. It also caches the cluster
-// hazard-set keys lazily per (cut, phase), so a binding search formats
-// each key once instead of once per hazard check.
+// worker's scratch, rebound per replayed cell. It also caches the cluster
+// hazard-set keys lazily per (cut, phase), so a replay formats each key
+// once instead of once per hazard check.
 type matchCtx struct {
 	cm       *coneMapper
 	n        *tnode
@@ -809,6 +831,7 @@ type matchCtx struct {
 	fn       *bexpr.Function
 	cell     *library.Cell
 	mt       *match.Matcher
+	filter   bool // the asynchronous hazard filter applies to cell
 	varNodes []int
 	rejected int
 	maxB     int
@@ -836,24 +859,57 @@ func (mc *matchCtx) hazKey(phase int) string {
 	return mc.keys[phase]
 }
 
-// Visit is the per-binding acceptance test. A binding delivered by the
-// scratch search aliases the search's permutation buffer, and varNodes
-// aliases the scratch, so an *accepted* choice heap-copies both (choices
-// outlive the cut; they are read by solution encoding and serial
-// emission).
+// replay matches a cluster target against the library by replaying its
+// memoized match list (library.MatchIndex.Matches) and updates the DP cost
+// for (id, phase). Each cell's bindings reach Visit in search order, and a
+// cell's replay stops where Visit stops it, exactly where the cell's
+// permutation search would have stopped, so every choice and work counter
+// is the search's. Output inversion is handled by the dual-phase DP
+// (cost[x][neg] plus phase relaxation), so the lists hold only
+// direct-output bindings: a binding with InvOut realises the *complement*
+// of the target.
+//
+// A list holds one representative binding per pin-symmetry orbit —
+// legitimate because orbit members agree on cost (the input-phase demand
+// travels with the target variable) and on the hazard verdict (symmetry
+// classes require hazard-set swap invariance), and the representative is
+// the orbit's DFS-first member, so the strict `better` comparison picks
+// the same choice as a search of every binding would.
+func (cm *coneMapper) replay(id, phase int, fn *bexpr.Function, list library.MatchList, varNodes []int) {
+	mc := &cm.sc.mc
+	mc.cm, mc.n, mc.phase, mc.fn, mc.varNodes = cm, &cm.nodes[id], phase, fn, varNodes
+	for i := 0; i < list.Cells(); i++ {
+		ic, bindings := list.Cell(i)
+		cm.m.stats.FindInvocations++
+		if cm.stop != nil {
+			continue
+		}
+		mc.cell, mc.mt = ic.Cell, ic.Matcher
+		mc.filter = cm.m.opts.Mode == Async && ic.Cell.Hazardous()
+		mc.rejected, mc.maxB = 0, cm.m.opts.MaxBindings
+		for j := 0; j < bindings && mc.Visit(list.Binding(i, j)); j++ {
+		}
+	}
+}
+
+// Visit is the per-binding acceptance test. The binding's Perm aliases the
+// library's immutable memo entry and varNodes aliases the scratch, so an
+// *accepted* binding is stored as is and the variable nodes are copied
+// into the node's per-cone choice slot (choices outlive the cut; they are
+// read by solution encoding and serial emission).
 func (mc *matchCtx) Visit(b hazard.Binding) bool {
 	cm := mc.cm
-	// Binding-search boundary: the permutation search over a wide,
-	// hazardous cell can visit many bindings (each with a hazard
-	// analysis), so cancellation is polled here too — stride-amortised,
-	// and latched in cm.stop so the surrounding loops unwind at once.
+	// Binding boundary: a hazardous cell can have many bindings (each with
+	// a hazard analysis), so cancellation is polled here too —
+	// stride-amortised, and latched in cm.stop so the surrounding loops
+	// unwind at once.
 	if err := cm.m.pollCtx(); err != nil {
 		cm.stop = err
 		return false
 	}
 	cm.m.stats.MatchesFound++
 	cm.m.stats.SymmetryPruned += mc.mt.Orbit() - 1
-	if cm.m.opts.Mode == Async && mc.cell.Hazardous() {
+	if mc.filter {
 		cm.m.stats.HazardousMatches++
 		if !cm.hazardSubsetOK(mc.fn, mc.phase, mc.cell, b, mc.hazKey(mc.phase)) {
 			cm.m.stats.MatchesRejected++
@@ -869,20 +925,13 @@ func (mc *matchCtx) Visit(b hazard.Binding) bool {
 	}
 	// Cost: cell area plus the cost of each cluster input in the phase
 	// the binding demands; arrival = worst input arrival + cell delay.
-	c := cost{area: mc.cell.Area, delay: 0}
-	sc := cm.sc
-	if cap(sc.demand) < len(mc.varNodes) {
-		sc.demand = make([]int, len(mc.varNodes))
-	}
-	demand := sc.demand[:len(mc.varNodes)]
-	clear(demand)
+	var neg uint64 // cluster variables demanded in negative phase
 	for pin, v := range b.Perm {
-		if b.InvIn&(1<<uint(pin)) != 0 {
-			demand[v] = phaseNeg
-		}
+		neg |= (b.InvIn >> uint(pin) & 1) << uint(v)
 	}
+	c := cost{area: mc.cell.Area, delay: 0}
 	for v, nodeID := range mc.varNodes {
-		in := cm.nodes[nodeID].cost[demand[v]]
+		in := cm.nodes[nodeID].cost[neg>>uint(v)&1]
 		c.area += in.area
 		if in.delay > c.delay {
 			c.delay = in.delay
@@ -891,45 +940,38 @@ func (mc *matchCtx) Visit(b hazard.Binding) bool {
 	c.delay += mc.cell.Delay
 	n := mc.n
 	if c.better(n.cost[mc.phase], cm.m.opts.Objective) {
-		b.Perm = append([]int(nil), b.Perm...)
 		n.cost[mc.phase] = c
-		n.choice[mc.phase] = &choice{
-			cell:    mc.cell,
-			binding: b,
-			varNode: append([]int(nil), mc.varNodes...),
+		ch := n.choice[mc.phase]
+		if ch == nil {
+			ch = cm.newChoice()
+			n.choice[mc.phase] = ch
 		}
+		ch.cell, ch.binding = mc.cell, b
+		ch.varNode = append(ch.varNode[:0], mc.varNodes...)
 	}
 	return mc.rejected < mc.maxB
 }
 
-// tryCell attempts to match one cell against a cluster target and updates
-// the DP cost for (id, phase). tsig must be target's signature vector
-// (computed once per cut by dpNode); mt is the cell's prebuilt matcher.
-// Output inversion is handled by the dual-phase DP (cost[x][neg] plus
-// phase relaxation), so only direct-output bindings are searched: a
-// binding with InvOut realises the *complement* of the target.
-//
-// Only one representative binding per pin-symmetry orbit is enumerated —
-// legitimate because orbit members agree on cost (the input-phase demand
-// travels with the target variable) and on the hazard verdict (symmetry
-// classes require hazard-set swap invariance), and the representative is
-// the orbit's DFS-first member, so the strict `better` comparison picks
-// the same choice as a search of every binding would.
-//
-// The binding visitor is the scratch's reusable matchCtx (its per-cut
-// hazard-key cache survives across the cells of one cut; dpNode resets
-// it at each cut), and the permutation search runs on the scratch's
-// match.Scratch.
-func (cm *coneMapper) tryCell(id, phase int, fn *bexpr.Function, target truthtab.TT, tsig truthtab.SigVector, cell *library.Cell, mt *match.Matcher, varNodes []int) {
-	if cm.stop != nil {
-		return
+// newChoice returns a fresh match-choice slot from the cone's choice
+// storage. The storage is allocated on first use with one slot per
+// (internal node, phase), the most the DP can take, since a node's slot is
+// overwritten in place on every later improvement.
+func (cm *coneMapper) newChoice() *choice {
+	width := min(cm.m.opts.MaxLeaves, truthtab.MaxVars)
+	if len(cm.choices) == cap(cm.choices) {
+		slots := 0
+		for i := range cm.nodes {
+			if cm.nodes[i].op != bexpr.OpVar {
+				slots += 2
+			}
+		}
+		cm.choices = make([]choice, 0, slots)
+		cm.varNodes = make([]int, 0, slots*width)
 	}
-	sc := cm.sc
-	mc := &sc.mc
-	mc.cm, mc.n, mc.phase, mc.fn = cm, &cm.nodes[id], phase, fn
-	mc.cell, mc.mt, mc.varNodes = cell, mt, varNodes
-	mc.rejected, mc.maxB = 0, cm.m.opts.MaxBindings
-	mt.FindScratch(target, tsig, mc, &sc.msc)
+	k := len(cm.varNodes)
+	cm.varNodes = cm.varNodes[:k+width]
+	cm.choices = append(cm.choices, choice{varNode: cm.varNodes[k : k : k+width]})
+	return &cm.choices[len(cm.choices)-1]
 }
 
 // hazardSubsetOK implements the paper's asyncmatchingroutine acceptance

@@ -52,7 +52,7 @@ func newRefMatch(lib *library.Library, probeAll bool) *refMatch {
 // symMatcher returns the library's indexed matcher for cell c, found in
 // the index bucket of c's own signature key.
 func symMatcher(lib *library.Library, c *library.Cell) *match.Matcher {
-	for _, ic := range lib.CandidatesKey(c.TT.SigVec().AppendCanonKey(nil)) {
+	for _, ic := range lib.MatchIndex().Candidates(c.TT.SigVec().AppendCanonKey(nil)) {
 		if ic.Cell == c {
 			return ic.Matcher
 		}
@@ -102,7 +102,7 @@ func (cm *coneMapper) dpNodeSlow(id int, rm *refMatch) error {
 		sigNeg := sigPos.Complement()
 		var cands []*library.IndexedCell
 		if !rm.probeAll {
-			cands = cm.m.lib.CandidatesKey([]byte(sigPos.CanonKey()))
+			cands = cm.m.lib.MatchIndex().Candidates([]byte(sigPos.CanonKey()))
 			cm.m.stats.IndexProbes++
 			for _, c := range cm.m.lib.Cells {
 				if c.NumPins() == nvars {
@@ -296,9 +296,11 @@ func (cm *coneMapper) clusterFunctionSlow(root int, cut []int) (*bexpr.Function,
 	return fn, varNodes, nil
 }
 
-// tryCellSlow is the reference tryCell: one closure per search. With
-// rm.probeAll it visits every member of every orbit, and counts a rejected
-// binding toward MaxBindings only when it is its orbit's representative.
+// tryCellSlow is the reference for matching one cell against a cluster
+// target, which production replays from the library's match memo: one
+// closure per search, run on the spot. With rm.probeAll it visits every
+// member of every orbit, and counts a rejected binding toward MaxBindings
+// only when it is its orbit's representative.
 func (cm *coneMapper) tryCellSlow(id, phase int, fn *bexpr.Function, target truthtab.TT, tsig truthtab.SigVector, cell *library.Cell, varNodes []int, rm *refMatch) {
 	n := &cm.nodes[id]
 	mt, pruned := rm.cells[cell], !rm.probeAll

@@ -58,7 +58,7 @@ z = (u*e)' + d*f;
 // enumerated first and, with the 5! orderings of the AND tail interleaved,
 // the first 11-family binding is number 121. Leaf costs are rigged so the
 // 11 family is cheaper. The unpruned half runs the reference search of
-// every binding; the pruned half is the production tryCell.
+// every binding; the pruned half is the production replay of the memo.
 func TestMaxBindingsCountsOnlyRejectedBindings(t *testing.T) {
 	lib := library.New("maxbind")
 	cell := lib.MustAdd("XA7", "(a*b' + a'*b)*c*d*e*f*g", 1)
@@ -84,7 +84,12 @@ func TestMaxBindingsCountsOnlyRejectedBindings(t *testing.T) {
 		fn := cell.Fn
 		tsig := cell.TT.SigVec()
 		if pruned {
-			cm.tryCell(root, phasePos, fn, cell.TT, tsig, cell, rm.cells[cell].sym, varNodes)
+			idx := lib.MatchIndex()
+			list, err := idx.Matches(nil, idx.Candidates(tsig.AppendCanonKey(nil)), cell.TT, tsig, &m.sc.fill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cm.replay(root, phasePos, fn, list, varNodes)
 		} else {
 			cm.tryCellSlow(root, phasePos, fn, cell.TT, tsig, cell, varNodes, rm)
 		}

@@ -19,8 +19,9 @@
 package hazard
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"gfmap/internal/bexpr"
@@ -265,26 +266,47 @@ func (s *Set) String() string {
 // Transitions returns the hazardous transitions of one kind in
 // deterministic order.
 func (s *Set) Transitions(k Kind) []Transition {
-	var m map[Transition]struct{}
-	switch k {
-	case KindStatic1:
-		m = s.Static1
-	case KindStatic0:
-		m = s.Static0
-	case KindDynamic:
-		m = s.Dynamic
-	}
+	m := s.kind(k)
 	out := make([]Transition, 0, len(m))
 	for tr := range m {
 		out = append(out, tr)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	slices.SortFunc(out, func(a, b Transition) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return out[i].To < out[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	return out
+}
+
+// kind returns the set's transitions of kind k.
+func (s *Set) kind(k Kind) map[Transition]struct{} {
+	switch k {
+	case KindStatic1:
+		return s.Static1
+	case KindStatic0:
+		return s.Static0
+	case KindDynamic:
+		return s.Dynamic
+	}
+	return nil
+}
+
+// AppendTransitionKeys appends the transitions of kind k to dst as packed
+// keys From<<32 | To, ascending — the order of Transitions — for sets over
+// at most 32 variables, the only ones whose points fit. Sorting integers
+// instead of pairs makes it the cheap way to walk a set in order.
+func (s *Set) AppendTransitionKeys(dst []uint64, k Kind) []uint64 {
+	if s.N > 32 {
+		panic(fmt.Sprintf("hazard: transition keys of a %d-variable set", s.N))
+	}
+	n := len(dst)
+	for tr := range s.kind(k) {
+		dst = append(dst, tr.From<<32|tr.To)
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Describe renders the hazardous transitions with variable names, for

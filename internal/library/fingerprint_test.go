@@ -115,3 +115,20 @@ func TestBuiltinFingerprintsPinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFingerprint times the digest every Map call takes of its
+// library, on the annotated built-ins.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, name := range BuiltinNames {
+		l, err := Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = l.Fingerprint()
+			}
+		})
+	}
+}

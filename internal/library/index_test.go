@@ -10,7 +10,7 @@ import (
 
 // candidates returns the index bucket of a signature key.
 func candidates(l *Library, key string) []*IndexedCell {
-	return l.CandidatesKey([]byte(key))
+	return l.MatchIndex().Candidates([]byte(key))
 }
 
 // matchInfo returns cell c's indexed matcher from the bucket of its own
@@ -112,8 +112,8 @@ func TestNumCellsWithPins(t *testing.T) {
 				want++
 			}
 		}
-		if got := lib.NumCellsWithPins(n); got != want {
-			t.Fatalf("NumCellsWithPins(%d)=%d, want %d", n, got, want)
+		if got := lib.MatchIndex().CellsWithPins(n); got != want {
+			t.Fatalf("CellsWithPins(%d)=%d, want %d", n, got, want)
 		}
 	}
 }

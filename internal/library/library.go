@@ -86,7 +86,7 @@ type Library struct {
 
 	// mu guards midx, the lazily (re)built Boolean-match index.
 	mu   sync.RWMutex
-	midx *matchIndex
+	midx *MatchIndex
 }
 
 // New creates an empty library.
@@ -176,7 +176,7 @@ func (l *Library) Annotate() error {
 	// Build the Boolean-match index eagerly: annotation is the asynchronous
 	// mapper's initialisation step, and the index's symmetry classes depend
 	// on the hazard sets just computed.
-	l.index()
+	l.MatchIndex()
 	return nil
 }
 
@@ -187,21 +187,27 @@ type IndexedCell struct {
 	Matcher *match.Matcher
 }
 
-// matchIndex buckets the library's cells by their phase-invariant
-// signature key so the covering DP probes only cells that can possibly
-// match a cluster, instead of every cell with the right pin count. cells
-// and annotated record the library generation the index was built from.
-type matchIndex struct {
+// MatchIndex is the library's Boolean-match index. It buckets the cells by
+// their phase-invariant signature key, so the covering DP probes only
+// cells that can possibly match a cluster instead of every cell with the
+// right pin count, and it carries the memo of match lists the DP replays
+// (memo.go). cells and annotated record the library generation the index
+// was built from; a rebuild starts a new index with an empty memo, so a
+// memo never outlives the matchers its bindings came from.
+type MatchIndex struct {
 	cells     int
 	annotated bool
 	byPins    map[int]int
 	buckets   map[string][]*IndexedCell // CanonKey -> cells, library order
+	memo      matchMemo
 }
 
-// index returns the match index, (re)building it when the library gained
-// cells or annotation since the last build. The built index is immutable,
-// so concurrent readers share it safely.
-func (l *Library) index() *matchIndex {
+// MatchIndex returns the match index, (re)building it when the library
+// gained cells or annotation since the last build. The buckets are
+// immutable once built and the memo is safe for concurrent use, so
+// concurrent mappers share one index; a mapping run takes it once and
+// keeps it for the whole run.
+func (l *Library) MatchIndex() *MatchIndex {
 	l.mu.RLock()
 	idx := l.midx
 	fresh := idx != nil && idx.cells == len(l.Cells) && idx.annotated == l.annotated
@@ -214,11 +220,12 @@ func (l *Library) index() *matchIndex {
 	if l.midx != nil && l.midx.cells == len(l.Cells) && l.midx.annotated == l.annotated {
 		return l.midx
 	}
-	idx = &matchIndex{
+	idx = &MatchIndex{
 		cells:     len(l.Cells),
 		annotated: l.annotated,
 		byPins:    make(map[int]int),
 		buckets:   make(map[string][]*IndexedCell),
+		memo:      matchMemo{budget: memoBudget},
 	}
 	for _, c := range l.Cells {
 		ic := &IndexedCell{
@@ -233,7 +240,7 @@ func (l *Library) index() *matchIndex {
 	return idx
 }
 
-// CandidatesKey returns the indexed cells whose signature key
+// Candidates returns the indexed cells whose signature key
 // (truthtab.SigVector.AppendCanonKey) equals key — the only cells that can
 // match a cluster with that key, in any input permutation, input phase or
 // output phase. Cells are returned in library order, so the covering DP
@@ -241,14 +248,12 @@ func (l *Library) index() *matchIndex {
 // would. The map probe converts the bytes in place, so the mapper's
 // per-cut lookup allocates nothing. The returned slice is shared and must
 // not be mutated.
-func (l *Library) CandidatesKey(key []byte) []*IndexedCell {
-	return l.index().buckets[string(key)]
+func (x *MatchIndex) Candidates(key []byte) []*IndexedCell {
+	return x.buckets[string(key)]
 }
 
-// NumCellsWithPins returns how many cells have the given input count.
-func (l *Library) NumCellsWithPins(n int) int {
-	return l.index().byPins[n]
-}
+// CellsWithPins returns how many cells have the given input count.
+func (x *MatchIndex) CellsWithPins(n int) int { return x.byPins[n] }
 
 // symClasses partitions the cell's pins into symmetry classes: pins in one
 // class are interchangeable without changing the cell's function or (for

@@ -162,7 +162,8 @@ func TestErrorBodyCarriesRequestID(t *testing.T) {
 }
 
 // After serving load, /statusz reports nonzero rolling quantiles for the
-// request and pipeline stages, admission bounds, and cache hit rates.
+// request and pipeline stages, admission bounds, cache hit rates and the
+// match memo of every served library.
 func TestStatusz(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 2})
 	h := s.Handler()
@@ -202,6 +203,14 @@ func TestStatusz(t *testing.T) {
 	}
 	if st.HazardCache.Hits+st.HazardCache.Misses == 0 {
 		t.Errorf("hazard cache saw no traffic: %+v", st.HazardCache)
+	}
+	// Every served library reports its match memo; the mapped one (the
+	// first, the default) holds the targets of Figure 3.
+	if len(st.MatchMemo) != 2 {
+		t.Errorf("match_memo lists %d libraries, want the 2 served: %+v", len(st.MatchMemo), st.MatchMemo)
+	}
+	if m := st.MatchMemo["LSI9K"]; m.Entries < 1 || m.Bytes <= 0 || m.Full {
+		t.Errorf("LSI9K match memo after three maps: %+v", m)
 	}
 	// The only live request is the /statusz scrape itself.
 	for _, row := range st.Inflight {

@@ -173,6 +173,16 @@ type StoreStatus struct {
 	HitRate  float64 `json:"hit_rate"`
 }
 
+// MemoStatus is the size of one served library's match memo, the
+// bounded store of Boolean-match results the mapper replays across
+// requests (library.MatchIndex). Full reports that the memo reached its
+// byte budget: later new targets are still matched, but no longer stored.
+type MemoStatus struct {
+	Entries int  `json:"entries"`
+	Bytes   int  `json:"bytes"`
+	Full    bool `json:"full"`
+}
+
 // StatuszResponse is the /statusz payload. Fleet is present only on a
 // coordinator: per-worker health, inflight, win/failure counters and
 // rolling latency quantiles, plus fleet-wide hedge/retry/fallback totals.
@@ -182,6 +192,7 @@ type StatuszResponse struct {
 	Stages        map[string]StageStats `json:"stages"`
 	Admission     AdmissionStatus       `json:"admission"`
 	HazardCache   CacheStatus           `json:"hazard_cache"`
+	MatchMemo     map[string]MemoStatus `json:"match_memo"`
 	Store         StoreStatus           `json:"store"`
 	Fleet         *fleet.Status         `json:"fleet,omitempty"`
 	Inflight      []InflightInfo        `json:"inflight_requests"`
@@ -234,6 +245,11 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		Misses:  hz.Misses,
 		Entries: hz.Entries,
 		HitRate: hitRate(hz.Hits, hz.Misses),
+	}
+	resp.MatchMemo = make(map[string]MemoStatus, len(s.order))
+	for _, name := range s.order {
+		m := s.libs[name].MemoStats()
+		resp.MatchMemo[name] = MemoStatus{Entries: m.Entries, Bytes: m.Bytes, Full: m.Full}
 	}
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()

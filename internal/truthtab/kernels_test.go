@@ -1,8 +1,11 @@
 package truthtab
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"gfmap/internal/bexpr"
 )
 
 // The word-parallel kernels are checked against straightforward per-point
@@ -200,5 +203,127 @@ func TestCofactorKernelsAllocFree(t *testing.T) {
 		tt.DependsOn(5)
 	}); a != 0 {
 		t.Fatalf("CofactorOnes/DependsOn allocate %.1f times per run, want 0", a)
+	}
+}
+
+// randExpr returns a random expression over vars with at most depth
+// levels of operators; leaves repeat variables freely and are sometimes
+// constants.
+func randExpr(r *rand.Rand, vars []string, depth int) *bexpr.Expr {
+	if depth == 0 || r.Intn(4) == 0 {
+		if len(vars) == 0 || r.Intn(10) == 0 {
+			return bexpr.Const(r.Intn(2) == 1)
+		}
+		return bexpr.Var(vars[r.Intn(len(vars))])
+	}
+	switch r.Intn(3) {
+	case 0:
+		return bexpr.Not(randExpr(r, vars, depth-1))
+	case 1:
+		kids := make([]*bexpr.Expr, 2+r.Intn(3))
+		for i := range kids {
+			kids[i] = randExpr(r, vars, depth-1)
+		}
+		return &bexpr.Expr{Op: bexpr.OpAnd, Kids: kids}
+	default:
+		kids := make([]*bexpr.Expr, 2+r.Intn(3))
+		for i := range kids {
+			kids[i] = randExpr(r, vars, depth-1)
+		}
+		return &bexpr.Expr{Op: bexpr.OpOr, Kids: kids}
+	}
+}
+
+// checkFromExpr compares the word-parallel kernel with per-point
+// Function.Eval, and requires the bits past 2^N in the last word to be
+// clear.
+func checkFromExpr(t *testing.T, name string, f *bexpr.Function) {
+	t.Helper()
+	got, err := FromExpr(f)
+	if err != nil {
+		t.Fatalf("%s: FromExpr: %v", name, err)
+	}
+	// FromExprInto must overwrite a dirty destination completely.
+	into := TT{N: 3, Bits: []uint64{^uint64(0), ^uint64(0)}}
+	if err := FromExprInto(f, &into); err != nil {
+		t.Fatalf("%s: FromExprInto: %v", name, err)
+	}
+	n := f.NumVars()
+	if got.N != n || into.N != n || len(got.Bits) != words(n) || len(into.Bits) != words(n) {
+		t.Fatalf("%s: table shapes %d/%d and %d/%d for %d variables", name, got.N, len(got.Bits), into.N, len(into.Bits), n)
+	}
+	for p := uint64(0); p < 1<<uint(n); p++ {
+		if want := f.Eval(p); got.Eval(p) != want || into.Eval(p) != want {
+			t.Fatalf("%s (%s): point %b: kernel %v/%v, Eval %v", name, f, p, got.Eval(p), into.Eval(p), want)
+		}
+	}
+	for _, tab := range []TT{got, into} {
+		if last := tab.Bits[len(tab.Bits)-1]; last&^tab.lastMask() != 0 {
+			t.Fatalf("%s: last word %#x has bits past 2^%d", name, last, n)
+		}
+	}
+}
+
+// TestFromExprMatchesEval checks the word-parallel truth-table kernel
+// against per-point evaluation: tables of one word (0-6 variables) and of
+// many (7-12), constants, repeated leaves, variables in the order that the
+// expression never reads, and random expressions.
+func TestFromExprMatchesEval(t *testing.T) {
+	names := func(n int) []string {
+		vs := make([]string, n)
+		for i := range vs {
+			vs[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
+		}
+		return vs
+	}
+	fixed := []string{"a0", "a0'", "a0*a0'", "a0 + a0'", "a0*b0 + a0'*c0 + b0*c0", "(a0 + b0')*(a0' + c0)*a0"}
+	for n := 0; n <= MaxVars; n++ {
+		vars := names(n)
+		for _, v := range []bool{false, true} {
+			f, err := bexpr.NewWithVars(bexpr.Const(v), vars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFromExpr(t, fmt.Sprintf("const %v/%d", v, n), f)
+		}
+		if n >= 3 {
+			for _, src := range fixed {
+				f, err := bexpr.NewWithVars(bexpr.MustParseExpr(src), vars)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFromExpr(t, fmt.Sprintf("%s/%d", src, n), f)
+			}
+		}
+		if n > 0 {
+			// Only the highest variable is read: every lower variable,
+			// and every lane mask, is unused.
+			f, err := bexpr.NewWithVars(bexpr.Not(bexpr.Var(vars[n-1])), vars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFromExpr(t, fmt.Sprintf("top/%d", n), f)
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 600; i++ {
+		n := r.Intn(MaxVars + 1)
+		vars := names(n)
+		// Read a random subset of the order, so some variables are unused.
+		used := vars
+		if n > 1 && r.Intn(2) == 0 {
+			used = vars[:1+r.Intn(n-1)]
+		}
+		f, err := bexpr.NewWithVars(randExpr(r, used, 1+r.Intn(5)), vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFromExpr(t, fmt.Sprintf("random %d", i), f)
+	}
+	// An expression reading a variable outside the order is rejected, not
+	// evaluated against some other variable.
+	bad := &bexpr.Function{Root: bexpr.Var("z"), Vars: []string{"a"}}
+	if _, err := FromExpr(bad); err == nil {
+		t.Error("FromExpr accepted a variable outside the order")
 	}
 }

@@ -65,9 +65,14 @@ func FromCover(c cube.Cover) (TT, error) {
 	return FromFunc(c.N, c.Eval)
 }
 
-// FromExpr builds a truth table from a BFF function.
+// FromExpr builds a truth table from a BFF function with the
+// word-parallel kernel of FromExprInto.
 func FromExpr(f *bexpr.Function) (TT, error) {
-	return FromFunc(f.NumVars(), f.Eval)
+	var t TT
+	if err := FromExprInto(f, &t); err != nil {
+		return TT{}, err
+	}
+	return t, nil
 }
 
 // reserve resizes t to n variables reusing the Bits backing array when it
@@ -86,18 +91,72 @@ func (t *TT) reserve(n int) {
 // FromExprInto is FromExpr into caller-owned storage: t is resized over
 // the function's variables, reusing its Bits array when capacity allows,
 // so steady-state construction allocates nothing.
+//
+// The expression is evaluated one 64-point word at a time: a variable
+// below 6 is its lane mask within the word, a higher variable is all ones
+// or all zeros depending on the word index, and the operators are word
+// AND, OR and NOT. A leaf therefore costs one variable lookup per word
+// instead of one per point. The last word is masked, so Equal and
+// anything keyed by the words never see bits past 2^N.
 func FromExprInto(f *bexpr.Function, t *TT) error {
 	n := f.NumVars()
 	if n < 0 || n > MaxVars {
 		return fmt.Errorf("truthtab: %d variables out of range", n)
 	}
 	t.reserve(n)
-	for p := uint64(0); p < 1<<uint(n); p++ {
-		if f.Eval(p) {
-			t.Set(p, true)
+	for w := range t.Bits {
+		x, err := evalWord(f, f.Root, w)
+		if err != nil {
+			return err
 		}
+		t.Bits[w] = x
 	}
+	t.Bits[len(t.Bits)-1] &= t.lastMask()
 	return nil
+}
+
+// evalWord evaluates e on the 64 points of word w: bit i of the result is
+// the value at point 64*w + i.
+func evalWord(f *bexpr.Function, e *bexpr.Expr, w int) (uint64, error) {
+	switch e.Op {
+	case bexpr.OpConst:
+		if e.Val {
+			return ^uint64(0), nil
+		}
+		return 0, nil
+	case bexpr.OpVar:
+		v := f.VarIndex(e.Name)
+		switch {
+		case v < 0:
+			return 0, fmt.Errorf("truthtab: variable %q outside the function's order", e.Name)
+		case v < 6:
+			return ^loMask[v], nil
+		case w>>uint(v-6)&1 != 0:
+			return ^uint64(0), nil
+		}
+		return 0, nil
+	case bexpr.OpNot:
+		x, err := evalWord(f, e.Kids[0], w)
+		return ^x, err
+	case bexpr.OpAnd, bexpr.OpOr:
+		acc := uint64(0)
+		if e.Op == bexpr.OpAnd {
+			acc = ^uint64(0)
+		}
+		for _, k := range e.Kids {
+			x, err := evalWord(f, k, w)
+			if err != nil {
+				return 0, err
+			}
+			if e.Op == bexpr.OpAnd {
+				acc &= x
+			} else {
+				acc |= x
+			}
+		}
+		return acc, nil
+	}
+	return 0, fmt.Errorf("truthtab: bad expression op %d", e.Op)
 }
 
 // Set assigns the value at an input point.
@@ -635,7 +694,8 @@ func (s SigVector) CanonKey() string {
 // AppendCanonKey appends the CanonKey bytes to dst and returns the
 // extended slice. Byte-for-byte identical to CanonKey without the string
 // allocations: the mapper probes the match index once per cut with a
-// reusable buffer, and Library.CandidatesKey converts the bytes in place.
+// reusable buffer, and library.MatchIndex.Candidates converts the bytes in
+// place.
 func (s SigVector) AppendCanonKey(dst []byte) []byte {
 	var rawBuf, cplBuf [2 + 4*MaxVars]byte
 	var sigBuf [MaxVars]VarSignature
