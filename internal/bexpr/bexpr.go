@@ -21,6 +21,7 @@ package bexpr
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"gfmap/internal/cube"
 )
@@ -162,10 +163,29 @@ func (e *Expr) String() string {
 }
 
 // AppendString appends the String rendering of the expression to dst.
-func (e *Expr) AppendString(dst []byte) []byte { return e.write(dst, 0) }
+func (e *Expr) AppendString(dst []byte) []byte { return e.write(dst, 0, nil) }
 
-// precedence levels: OR=1, AND=2, NOT/leaf=3.
-func (e *Expr) write(b []byte, parent int) []byte {
+// AppendKey appends a structural key of the expression to dst and returns
+// the number of distinct variables. The key is the String rendering with
+// every variable renamed positionally (v0, v1, … in first-appearance
+// order) and with an AND or OR operand of a node with the same operator
+// parenthesised. String drops that grouping — (a + b) + c, a + (b + c) and
+// a + b + c all print as "a + b + c" — so only the key tells such trees
+// apart: two expressions whose AND and OR nodes have two or more operands
+// get the same key exactly when they are Equal up to a renaming that
+// keeps which leaves share a variable. On an expression without
+// same-operator nesting the key is the String of the renamed expression.
+func (e *Expr) AppendKey(dst []byte) ([]byte, int) {
+	vars := make(map[string]int)
+	dst = e.write(dst, 0, vars)
+	return dst, len(vars)
+}
+
+// write renders e at precedence level parent: OR=1, AND=2, NOT/leaf=3.
+// A non-nil vars selects the structural key (AppendKey): variables are
+// numbered in vars as they first appear, and a same-operator operand is
+// written at level 3, which parenthesises it.
+func (e *Expr) write(b []byte, parent int, vars map[string]int) []byte {
 	switch e.Op {
 	case OpConst:
 		if e.Val {
@@ -174,15 +194,25 @@ func (e *Expr) write(b []byte, parent int) []byte {
 			b = append(b, '0')
 		}
 	case OpVar:
-		b = append(b, e.Name...)
+		if vars == nil {
+			b = append(b, e.Name...)
+			break
+		}
+		i, ok := vars[e.Name]
+		if !ok {
+			i = len(vars)
+			vars[e.Name] = i
+		}
+		b = append(b, 'v')
+		b = strconv.AppendInt(b, int64(i), 10)
 	case OpNot:
 		k := e.Kids[0]
 		if k.Op == OpVar || k.Op == OpConst {
-			b = k.write(b, 3)
+			b = k.write(b, 3, vars)
 			b = append(b, '\'')
 		} else {
 			b = append(b, '(')
-			b = k.write(b, 0)
+			b = k.write(b, 0, vars)
 			b = append(b, ")'"...)
 		}
 	case OpAnd:
@@ -193,7 +223,7 @@ func (e *Expr) write(b []byte, parent int) []byte {
 			if i > 0 {
 				b = append(b, '*')
 			}
-			b = k.write(b, 2)
+			b = k.write(b, e.operandLevel(k, 2, vars != nil), vars)
 		}
 		if parent > 2 {
 			b = append(b, ')')
@@ -206,13 +236,23 @@ func (e *Expr) write(b []byte, parent int) []byte {
 			if i > 0 {
 				b = append(b, " + "...)
 			}
-			b = k.write(b, 1)
+			b = k.write(b, e.operandLevel(k, 1, vars != nil), vars)
 		}
 		if parent > 1 {
 			b = append(b, ')')
 		}
 	}
 	return b
+}
+
+// operandLevel is the precedence level operand k of e is written at: e's
+// own level, raised past both operators when grouped keeps a same-operator
+// operand in parentheses.
+func (e *Expr) operandLevel(k *Expr, level int, grouped bool) int {
+	if grouped && k.Op == e.Op {
+		return 3
+	}
+	return level
 }
 
 // New builds a Function from an expression root; the variable order is the

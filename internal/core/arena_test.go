@@ -16,6 +16,7 @@ import (
 	"gfmap/internal/hazard"
 	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
+	"gfmap/internal/mapstore"
 	"gfmap/internal/network"
 )
 
@@ -280,8 +281,9 @@ func TestConeCoverAllocBudget(t *testing.T) {
 	// grow the scratch.
 	m, cones := arenaTestMapper(t, bigCtxSrc(1), true)
 	cone := cones[0]
+	ck := mapstore.ConeKey(cone.Expr)
 	prod := func() {
-		if _, err := m.prepareCone(cone); err != nil {
+		if _, err := m.prepareCone(cone, ck); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -129,8 +129,10 @@ type Options struct {
 	// Store, when non-nil, memoizes per-cone covering solutions in a
 	// content-addressed mapstore keyed by canonical cone signature ×
 	// library fingerprint × option hash, so structurally repeated cones —
-	// within a design, across designs, across restarts and across
-	// processes sharing the store file — skip the covering DP entirely.
+	// across designs, across restarts and across processes sharing the
+	// store file — skip the covering DP entirely. (Within one run, a
+	// repeated cone shares the cover of its first occurrence, store or
+	// not.)
 	// The store is semantically transparent: a warm-store run's netlist
 	// and Stats.Deterministic() view are byte-identical to a cold run's
 	// (solutions carry the DP's deterministic work counters and replay
@@ -253,7 +255,9 @@ type Stats struct {
 	// by the per-cone memo, by the shared cross-cone cache, and performed
 	// fresh. LocalHits is deterministic; the split between shared hits and
 	// misses depends on cache warmth and worker scheduling (their sum does
-	// not).
+	// not). Shared hits and misses count only lookups actually made: a cone
+	// replayed from the store or the MapDelta seed, or sharing the cover
+	// of an equal cone, adds its memo hits but no lookups.
 	HazCacheLocalHits int
 	HazCacheHits      int
 	HazCacheMisses    int
@@ -263,9 +267,12 @@ type Stats struct {
 
 	// Mapstore accounting: cones whose covering solution was served by
 	// Options.Store (hits) versus solved by the DP (misses), and cones a
-	// MapDelta call reused from the previous result's solutions. All three
-	// depend on store warmth / the seed, not on the input alone, so they
-	// are excluded from the Deterministic view.
+	// MapDelta call reused from the previous result's solutions. A cone
+	// that shares the cover of an equal cone earlier in the run counts as
+	// reused when that cone replayed the MapDelta seed, and otherwise as a
+	// hit when a store is attached. All three depend on store warmth / the
+	// seed, not on the input alone, so they are excluded from the
+	// Deterministic view.
 	StoreHits        int
 	StoreMisses      int
 	DeltaReusedCones int
@@ -500,7 +507,8 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options, seed 
 	stamp(&csp)
 	csp.SetInt("workers", int64(opts.Workers))
 	csp.SetInt("cones", int64(len(cones)))
-	prepared, err := m.prepareCones(cones)
+	prepared, distinct, err := m.prepareCones(cones)
+	csp.SetInt("distinct", int64(distinct))
 	csp.End()
 	if err != nil {
 		if cerr := ctxErr(opts.Ctx); cerr != nil {

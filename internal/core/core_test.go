@@ -569,13 +569,14 @@ z = (u*e)' + d*f;
 
 // TestHazardCacheSharesAcrossCones: on a design whose cones repeat the
 // same cluster shapes, the cross-cone cache serves repeats that the
-// per-cone memo cannot, and a warm cache serves a whole second run.
+// per-cone memo cannot, and a warm cache serves a whole second run. The
+// cones differ (g has an extra term), since twin cones are covered once.
 func TestHazardCacheSharesAcrossCones(t *testing.T) {
 	src := `
-INPUT(a, b, c, p, q, r)
+INPUT(a, b, c, p, q, r, s)
 OUTPUT(f, g)
 f = a*b + a'*c + b*c;
-g = p*q + p'*r + q*r;
+g = p*q + p'*r + q*r + s;
 `
 	net := parseNet(t, src, "share")
 	lib := library.MustGet("LSI9K")

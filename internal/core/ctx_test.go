@@ -12,6 +12,7 @@ import (
 
 	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
+	"gfmap/internal/mapstore"
 	"gfmap/internal/network"
 )
 
@@ -212,7 +213,7 @@ func TestPrepareConeIsolatedConvertsPanic(t *testing.T) {
 	first := m.sc
 	// A cone without an expression makes prepareCone dereference nil: a
 	// genuine panic on the worker.
-	_, err := prepareConeIsolated(m, network.Cone{Root: "boom"})
+	_, err := prepareConeIsolated(m, network.Cone{Root: "boom"}, "")
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic conversion", err)
 	}
@@ -221,11 +222,12 @@ func TestPrepareConeIsolatedConvertsPanic(t *testing.T) {
 	}
 	clean, _ := arenaTestMapper(t, simpleSrc, true)
 	for _, cone := range cones {
-		got, err := prepareConeIsolated(m, cone)
+		ck := mapstore.ConeKey(cone.Expr)
+		got, err := prepareConeIsolated(m, cone, ck)
 		if err != nil {
 			t.Fatalf("cone %s after the panic: %v", cone.Root, err)
 		}
-		want, err := clean.prepareCone(cone)
+		want, err := clean.prepareCone(cone, ck)
 		if err != nil {
 			t.Fatal(err)
 		}

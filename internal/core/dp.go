@@ -217,12 +217,20 @@ type preparedCone struct {
 	// feed the Result's delta state.
 	coneKey string
 	encoded []byte
+
+	// work is the deterministic counter delta of covering this cone's
+	// signature, and reused whether its solution came from the MapDelta
+	// seed: a later cone with the same signature shares this one's
+	// choices and repeats both in the run's Stats (shareCone).
+	work   *Stats
+	reused bool
 }
 
-// prepareCone builds the cone tree and solves the covering DP. It touches
-// no shared mapper state (statistics are accumulated locally and merged by
-// the caller), so cones can be prepared concurrently.
-func (m *mapper) prepareCone(cone network.Cone) (*preparedCone, error) {
+// prepareCone builds the cone tree and solves the covering DP; ck is the
+// cone's canonical signature (mapstore.ConeKey). It touches no shared
+// mapper state (statistics are accumulated locally and merged by the
+// caller), so cones can be prepared concurrently.
+func (m *mapper) prepareCone(cone network.Cone, ck string) (*preparedCone, error) {
 	tr := m.opts.Tracer
 	sp := tr.StartSpanOn(m.tid, "cone")
 	st0 := m.stats
@@ -250,16 +258,16 @@ func (m *mapper) prepareCone(cone network.Cone) (*preparedCone, error) {
 	// miss: the cone is solved from scratch and the poisoned entry
 	// repaired with a Replace (a plain Put would dedupe against the bad
 	// record and leave it poisoning every future run).
-	ck := mapstore.ConeKey(cone.Expr)
 	var (
 		ek       mapstore.Key
 		enc      []byte
 		hit      bool
+		reused   bool
 		poisoned bool
 	)
 	if m.seed != nil {
 		if b, ok := m.seed[ck]; ok && cm.applySolution(root, b) == nil {
-			enc, hit = b, true
+			enc, hit, reused = b, true, true
 			m.stats.DeltaReusedCones++
 		}
 	}
@@ -279,7 +287,6 @@ func (m *mapper) prepareCone(cone network.Cone) (*preparedCone, error) {
 		}
 	}
 	if !hit {
-		dp0 := m.stats
 		cm.cuts = make([][]cutEntry, len(cm.nodes))
 		for i := range cm.nodes {
 			cm.nodes[i].cost = [2]cost{infCost, infCost}
@@ -299,7 +306,10 @@ func (m *mapper) prepareCone(cone network.Cone) (*preparedCone, error) {
 			sp.End()
 			return nil, err
 		}
-		enc = cm.encodeSolution(statsDelta(m.stats, dp0))
+	}
+	work := statsDelta(m.stats, st0)
+	if !hit {
+		enc = cm.encodeSolution(work)
 		if m.store != nil {
 			var perr error
 			if poisoned {
@@ -325,16 +335,53 @@ func (m *mapper) prepareCone(cone network.Cone) (*preparedCone, error) {
 	sp.SetInt("haz_shared_hits", int64(d.HazCacheHits-st0.HazCacheHits))
 	sp.SetInt("haz_misses", int64(d.HazCacheMisses-st0.HazCacheMisses))
 	sp.End()
-	return &preparedCone{cm: cm, root: root, coneKey: ck, encoded: enc}, nil
+	return &preparedCone{cm: cm, root: root, coneKey: ck, encoded: enc, work: &work, reused: reused}, nil
+}
+
+// shareCone prepares a cone whose signature matches the already prepared
+// cone rep. Equal signatures mean equal trees and leaf-equality patterns,
+// so rep's choices are the ones the covering DP would make for the cone,
+// and rep's counters the ones it would count. The cone gets its own tree,
+// a copy of rep's with its own leaf signals, whose nodes point at rep's
+// choices and operand lists; emission only reads both. The cone counts
+// as reused when rep replayed the MapDelta seed, and otherwise as a store
+// hit when a store is attached, as a serial run that looked the cone up
+// would count it.
+func (m *mapper) shareCone(rep *preparedCone, cone network.Cone) *preparedCone {
+	cm := &coneMapper{m: m, cone: cone, emitted: make(map[[2]int]string),
+		nodes: append([]tnode(nil), rep.cm.nodes...)}
+	// The tree is stored post-order, so the cone's expression visited in
+	// post-order meets its nodes in index order.
+	id := 0
+	var relabel func(e *bexpr.Expr)
+	relabel = func(e *bexpr.Expr) {
+		for _, k := range e.Kids {
+			relabel(k)
+		}
+		if e.Op == bexpr.OpVar {
+			cm.nodes[id].signal = e.Name
+		}
+		id++
+	}
+	relabel(cone.Expr.Root)
+	m.stats.merge(*rep.work)
+	switch {
+	case rep.reused:
+		m.stats.DeltaReusedCones++
+	case m.store != nil:
+		m.stats.StoreHits++
+	}
+	return &preparedCone{cm: cm, root: rep.root, coneKey: rep.coneKey, encoded: rep.encoded,
+		work: rep.work, reused: rep.reused}
 }
 
 // prepareConeProfiled runs prepareCone, attaching runtime/pprof labels
 // ("worker", "cone" — plus "request" when the run carries a request ID)
 // when Options.ProfileLabels is set so CPU profiles can be sliced per
 // worker goroutine, per cone, and per in-flight service request.
-func (m *mapper) prepareConeProfiled(cone network.Cone) (pc *preparedCone, err error) {
+func (m *mapper) prepareConeProfiled(cone network.Cone, ck string) (pc *preparedCone, err error) {
 	if !m.opts.ProfileLabels {
-		return m.prepareCone(cone)
+		return m.prepareCone(cone, ck)
 	}
 	var labels pprof.LabelSet
 	if m.opts.RequestID != "" {
@@ -343,41 +390,72 @@ func (m *mapper) prepareConeProfiled(cone network.Cone) (pc *preparedCone, err e
 		labels = pprof.Labels("worker", strconv.Itoa(m.tid), "cone", cone.Root)
 	}
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		pc, err = m.prepareCone(cone)
+		pc, err = m.prepareCone(cone, ck)
 	})
 	return pc, err
 }
 
-// prepareCones runs the covering DP over all cones, in parallel when
-// Options.Workers > 1. Results are returned in cone order, so emission —
-// and therefore the final netlist — is identical to a serial run.
-func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, error) {
+// prepareCones prepares every cone and returns them in cone order, so
+// emission — and therefore the final netlist — is identical to a serial
+// run, together with the number of distinct cone signatures. A cone's
+// cover depends only on its signature (mapstore.ConeKey), so each
+// signature is covered once, on its first cone, in parallel when
+// Options.Workers > 1; every later cone with that signature shares the
+// result (shareCone).
+func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, int, error) {
+	keys := make([]string, len(cones))
+	rep := make([]int, len(cones)) // the first cone with each cone's signature
+	first := make(map[string]int, len(cones))
+	var reps []int
+	for i, cone := range cones {
+		keys[i] = mapstore.ConeKey(cone.Expr)
+		j, seen := first[keys[i]]
+		if !seen {
+			j = i
+			first[keys[i]] = i
+			reps = append(reps, i)
+		}
+		rep[i] = j
+	}
+	out := make([]*preparedCone, len(cones))
+	if err := m.coverCones(cones, keys, reps, out); err != nil {
+		return nil, 0, err
+	}
+	for i, j := range rep {
+		if j != i {
+			out[i] = m.shareCone(out[j], cones[i])
+		}
+	}
+	return out, len(reps), nil
+}
+
+// coverCones runs prepareCone on the cones indexed by todo, storing each
+// result at its index in out, in parallel when Options.Workers > 1.
+func (m *mapper) coverCones(cones []network.Cone, keys []string, todo []int, out []*preparedCone) error {
 	workers := m.opts.Workers
-	if workers <= 1 || len(cones) < 2 {
-		out := make([]*preparedCone, len(cones))
-		for i, cone := range cones {
+	if workers <= 1 || len(todo) < 2 {
+		for _, i := range todo {
 			if err := m.ctxErr(); err != nil {
-				return nil, err
+				return err
 			}
-			pc, err := m.prepareConeProfiled(cone)
+			pc, err := m.prepareConeProfiled(cones[i], keys[i])
 			if err != nil {
-				return nil, fmt.Errorf("core: cone %s: %w", cone.Root, err)
+				return fmt.Errorf("core: cone %s: %w", cones[i].Root, err)
 			}
 			out[i] = pc
 		}
-		return out, nil
+		return nil
 	}
 	// Cones are dispatched in contiguous chunks (a few per worker) rather
 	// than one at a time: a worker amortises its mapper shim, its arena
 	// scratch and its channel receives over the whole chunk instead of
 	// paying for them per cone.
 	type job struct{ lo, hi int }
-	chunk := (len(cones) + workers*4 - 1) / (workers * 4)
+	chunk := (len(todo) + workers*4 - 1) / (workers * 4)
 	if chunk < 1 {
 		chunk = 1
 	}
-	out := make([]*preparedCone, len(cones))
-	errs := make([]error, len(cones))
+	errs := make([]error, len(todo))
 	wstats := make([]Stats, workers)
 	jobs := make(chan job)
 	var wg sync.WaitGroup
@@ -399,15 +477,16 @@ func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, error) {
 			// skip the work per cone rather than stop receiving, so the
 			// feeder below never blocks and no goroutine outlives this call.
 			for j := range jobs {
-				for i := j.lo; i < j.hi; i++ {
+				for k := j.lo; k < j.hi; k++ {
 					if err := m.ctxErr(); err != nil {
-						errs[i] = err
+						errs[k] = err
 						clean = false
 						continue
 					}
-					pc, err := prepareConeIsolated(shadow, cones[i])
+					i := todo[k]
+					pc, err := prepareConeIsolated(shadow, cones[i], keys[i])
 					if err != nil {
-						errs[i] = fmt.Errorf("core: cone %s: %w", cones[i].Root, err)
+						errs[k] = fmt.Errorf("core: cone %s: %w", cones[i].Root, err)
 						clean = false
 						continue
 					}
@@ -425,29 +504,25 @@ func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, error) {
 			}
 		}(w)
 	}
-	for lo := 0; lo < len(cones); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cones) {
-			hi = len(cones)
-		}
-		jobs <- job{lo, hi}
+	for lo := 0; lo < len(todo); lo += chunk {
+		jobs <- job{lo, min(lo+chunk, len(todo))}
 	}
 	close(jobs)
 	wg.Wait()
 	// A cancelled run reports the context's error in preference to the
 	// per-cone wrappers, so callers see ctx.Err() itself.
 	if err := m.ctxErr(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, st := range wstats {
 		m.stats.merge(st)
 	}
-	return out, nil
+	return nil
 }
 
 // prepareConeIsolated runs the covering DP for one cone, converting a
@@ -455,7 +530,7 @@ func (m *mapper) prepareCones(cones []network.Cone) ([]*preparedCone, error) {
 // otherwise kill the whole process — unacceptable for a long-lived
 // mapping service, where one poisoned request must not take down its
 // neighbours.
-func prepareConeIsolated(m *mapper, cone network.Cone) (pc *preparedCone, err error) {
+func prepareConeIsolated(m *mapper, cone network.Cone, ck string) (pc *preparedCone, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The scratch may be mid-update at the panic point: drop it
@@ -465,7 +540,7 @@ func prepareConeIsolated(m *mapper, cone network.Cone) (pc *preparedCone, err er
 			pc, err = nil, fmt.Errorf("panic in covering DP: %v", r)
 		}
 	}()
-	return m.prepareConeProfiled(cone)
+	return m.prepareConeProfiled(cone, ck)
 }
 
 // emitCone realises a prepared cone into the shared netlist.

@@ -19,6 +19,7 @@ import (
 	"gfmap/internal/bexpr"
 	"gfmap/internal/hazard"
 	"gfmap/internal/library"
+	"gfmap/internal/mapstore"
 	"gfmap/internal/match"
 	"gfmap/internal/network"
 	"gfmap/internal/truthtab"
@@ -427,6 +428,29 @@ func mapSlow(t testing.TB, net *network.Network, lib *library.Library, opts Opti
 	for i, cm := range cms {
 		if err := cm.emitRoot(roots[i]); err != nil {
 			t.Fatalf("cone %s: %v", cm.cone.Root, err)
+		}
+	}
+	m.stats.Cones = len(cones)
+	return m.netlist.String(), m.stats
+}
+
+// mapEachCone maps net serially with the production DP, preparing every
+// cone on its own rather than covering each distinct signature once and
+// sharing it, and returns the netlist text and the run's statistics.
+func mapEachCone(t testing.TB, net *network.Network, lib *library.Library, opts Options) (string, Stats) {
+	t.Helper()
+	m, cones := newTestMapper(t, net, lib, opts, true)
+	var pcs []*preparedCone
+	for _, cone := range cones {
+		pc, err := m.prepareCone(cone, mapstore.ConeKey(cone.Expr))
+		if err != nil {
+			t.Fatalf("cone %s: %v", cone.Root, err)
+		}
+		pcs = append(pcs, pc)
+	}
+	for _, pc := range pcs {
+		if err := m.emitCone(pc); err != nil {
+			t.Fatalf("cone %s: %v", pc.cm.cone.Root, err)
 		}
 	}
 	m.stats.Cones = len(cones)

@@ -1,5 +1,8 @@
 package core
 
-// The covering-DP oracle (dp_ref_test.go), for the external test that
-// drives it with designs from packages that import core.
-var CompareDPWithReference = compareDP
+// The covering-DP oracles (dp_ref_test.go), for the external tests that
+// drive them with designs from packages that import core.
+var (
+	CompareDPWithReference = compareDP
+	MapEachCone            = mapEachCone
+)

@@ -95,7 +95,7 @@ func MapCones(ctx context.Context, net *network.Network, lib *library.Library, o
 	if err := m.ensureCells(); err != nil {
 		return nil, err
 	}
-	prepared, err := m.prepareCones(assigned)
+	prepared, _, err := m.prepareCones(assigned)
 	if err != nil {
 		if cerr := ctxErr(opts.Ctx); cerr != nil {
 			return nil, cerr

@@ -142,9 +142,7 @@ func editedLib(t *testing.T) *library.Library {
 
 // freshStoreHits maps src against a brand-new memory store and returns
 // the intra-run hit count — the baseline hits caused purely by
-// structurally duplicate cones, which any cold run exhibits. The count
-// depends on scheduling (two duplicates mapped at once both miss), so the
-// run is serial, and so must be every run compared against it.
+// structurally duplicate cones, which any cold run exhibits.
 func freshStoreHits(t *testing.T, src string, lib *library.Library, opts Options) int {
 	t.Helper()
 	o := opts

@@ -7,30 +7,32 @@ import (
 	"gfmap/internal/bexpr"
 )
 
-// ConeKey renders a cone function as a canonical signature: the expression
-// with every leaf renamed positionally (v0, v1, … in first-appearance
-// order within the expression). Two cones with the
-// same tree structure and the same leaf-equality pattern — regardless of
-// what their signals are called or where in a design they sit — get the
-// same signature, which is exactly the condition under which the covering
-// DP produces the same solution for both: leaf costs are context-free and
-// cluster functions are already positional.
+// ConeKey renders a cone function as a canonical signature: the
+// expression's structural key (Expr.AppendKey: every leaf renamed
+// positionally, v0, v1, … in first-appearance order), prefixed with the
+// leaf count. Two cones get the same signature exactly when they have the
+// same tree — operator, operand count and operand order at every node —
+// and the same leaf-equality pattern, whatever their signals are called or
+// wherever in a design they sit. That is the condition under which the
+// covering DP produces the same solution for both: leaf costs are
+// context-free and cluster functions are already positional. The
+// signature is the mapper's one cone identity: store entries, MapDelta
+// seeds, shard solutions and the grouping of a run's repeated cones are
+// all keyed by it.
+//
+// The key parenthesises an AND or OR operand of the same operator, which
+// Expr.String flattens; signatures rendered with String let differently
+// grouped trees collide. Cones without same-operator nesting keep the
+// signature String gave them, so their store entries stay warm.
 //
 // Deliberately NOT canonicalized further: operand order is preserved. The
 // DP breaks cost ties by first match found, so commutatively-sorted
 // operands could replay a solution whose tie-breaks differ from what a
 // cold run of this exact tree would choose, breaking byte-identity.
 func ConeKey(fn *bexpr.Function) string {
-	names := make(map[string]string, len(fn.Vars))
-	renamed := bexpr.Rename(fn.Root, func(s string) string {
-		n, ok := names[s]
-		if !ok {
-			n = "v" + strconv.Itoa(len(names))
-			names[s] = n
-		}
-		return n
-	})
-	return strconv.Itoa(len(names)) + ":" + renamed.String()
+	var buf [128]byte
+	key, n := fn.Root.AppendKey(buf[:0])
+	return strconv.Itoa(n) + ":" + string(key)
 }
 
 // EntryKey derives the content address of a cone's mapping result from

@@ -512,3 +512,30 @@ func TestEntryKeySeparatesComponents(t *testing.T) {
 		t.Fatal("EntryKey components not separated")
 	}
 }
+
+// ConeKey is exact: String renders all three ORs below as
+// "v0 + v1 + v2 + v3 + v4", but their trees differ, so their keys must.
+// A cone without same-operator nesting keeps the key earlier versions
+// wrote, so its store entries stay warm.
+func TestConeKeyKeepsGrouping(t *testing.T) {
+	v := func(name string) *bexpr.Expr { return bexpr.Var(name) }
+	for _, c := range []struct {
+		e    *bexpr.Expr
+		want string
+	}{
+		{bexpr.Or(v("a"), bexpr.Or(bexpr.Or(v("b"), v("c")), bexpr.Or(v("d"), v("e")))),
+			"5:v0 + ((v1 + v2) + (v3 + v4))"},
+		{bexpr.Or(bexpr.Or(bexpr.Or(v("a"), v("b")), bexpr.Or(v("c"), v("d"))), v("e")),
+			"5:((v0 + v1) + (v2 + v3)) + v4"},
+		{bexpr.Or(v("a"), v("b"), v("c"), v("d"), v("e")),
+			"5:v0 + v1 + v2 + v3 + v4"},
+		{bexpr.And(v("a"), bexpr.And(v("b"), bexpr.Not(bexpr.And(v("c"), v("a"))))),
+			"3:v0*(v1*(v2*v0)')"},
+		{bexpr.MustParseExpr("x*(y + z') + x'*w*(u + y) + (x + w)'"),
+			"5:v0*(v1 + v2') + v0'*v3*(v4 + v1) + (v0 + v3)'"},
+	} {
+		if got := ConeKey(bexpr.New(c.e)); got != c.want {
+			t.Errorf("ConeKey(%s) = %q, want %q", c.e, got, c.want)
+		}
+	}
+}
