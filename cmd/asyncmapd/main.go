@@ -16,11 +16,10 @@
 //	asyncmapd -store cones.mapstore   # persist cone solutions across restarts
 //	asyncmapd -fleet http://w1:8931,http://w2:8931   # fleet coordinator
 //
-// With -fleet, the server coordinates a sharded mapping fleet: batch
-// designs are dispatched design-wise (or cone-wise for a single large
-// design) across the listed workers — plain asyncmapd processes — with
-// work stealing, bounded retries, hedged duplicates for stragglers and
-// local fallback, and the assembled results are byte-identical to a
+// With -fleet, the server coordinates a mapping fleet: each batch design
+// is one /map job on one of the listed workers — plain asyncmapd
+// processes — with work stealing, bounded retries, hedged duplicates for
+// stragglers and local fallback, and the results are byte-identical to a
 // single-process run. See the "Fleet mode" section of docs/SERVING.md.
 //
 // With -store, per-cone covering solutions persist in a crash-safe

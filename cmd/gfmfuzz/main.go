@@ -1,7 +1,7 @@
 // Command gfmfuzz is the differential fuzzing driver for the mapping
 // pipeline: it generates seeded random networks, maps each across the
 // full option matrix (cache on/off, worker counts, context on/off, store
-// cold/warm and delta) in both modes, and asserts the pipeline's
+// cold/warm) in both modes, and asserts the pipeline's
 // invariants — byte-identical netlists, deterministic stats, well-formed
 // netlists, functional equivalence, hazard non-introduction, parser round
 // trips.
@@ -65,7 +65,7 @@ func main() {
 		maxFail  = flag.Int("maxfail", 5, "stop after this many failing seeds (0 = never)")
 		replay   = flag.String("replay", "", "instead of generating, re-check every .eqn design in this directory")
 		metrics  = flag.Bool("metrics", false, "print the harness metrics snapshot at the end")
-		nostore  = flag.Bool("nostore", false, "skip the persistent-store and delta axes of the option matrix")
+		nostore  = flag.Bool("nostore", false, "skip the persistent-store axes of the option matrix")
 		fleetOn  = flag.Bool("fleet", false, "add the fleet axis: map every design through an in-process fleet coordinator and a single-process server; results must be byte-identical")
 		fleetN   = flag.Int("fleet-workers", 2, "workers in the in-process fleet (with -fleet)")
 		synthOn  = flag.Bool("synth", false, "fuzz the spec-to-silicon pipeline: generate burst-mode machines and check synthesis determinism plus hazard-freedom evidence")

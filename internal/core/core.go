@@ -160,7 +160,7 @@ type Options struct {
 	// "request" in CPU profiles, so one request can be followed from the
 	// server's access log into traces and profiles. Semantically
 	// transparent — it never changes the mapping and is excluded from the
-	// store/delta option hash.
+	// store's option hash.
 	RequestID string
 }
 
@@ -256,8 +256,8 @@ type Stats struct {
 	// fresh. LocalHits is deterministic; the split between shared hits and
 	// misses depends on cache warmth and worker scheduling (their sum does
 	// not). Shared hits and misses count only lookups actually made: a cone
-	// replayed from the store or the MapDelta seed, or sharing the cover
-	// of an equal cone, adds its memo hits but no lookups.
+	// replayed from the store, or sharing the cover of an equal cone, adds
+	// its memo hits but no lookups.
 	HazCacheLocalHits int
 	HazCacheHits      int
 	HazCacheMisses    int
@@ -266,16 +266,12 @@ type Stats struct {
 	HazCacheEvictions int
 
 	// Mapstore accounting: cones whose covering solution was served by
-	// Options.Store (hits) versus solved by the DP (misses), and cones a
-	// MapDelta call reused from the previous result's solutions. A cone
-	// that shares the cover of an equal cone earlier in the run counts as
-	// reused when that cone replayed the MapDelta seed, and otherwise as a
-	// hit when a store is attached. All three depend on store warmth / the
-	// seed, not on the input alone, so they are excluded from the
-	// Deterministic view.
-	StoreHits        int
-	StoreMisses      int
-	DeltaReusedCones int
+	// Options.Store (hits) versus solved by the DP (misses). A cone that
+	// shares the cover of an equal cone earlier in the run counts as a hit
+	// when a store is attached. Both depend on store warmth, not on the
+	// input alone, so they are excluded from the Deterministic view.
+	StoreHits   int
+	StoreMisses int
 
 	// Per-phase wall times of the pipeline: technology decomposition,
 	// cone partitioning, the covering DP (including matching and hazard
@@ -304,7 +300,6 @@ func (s *Stats) merge(o Stats) {
 	s.HazCacheMisses += o.HazCacheMisses
 	s.StoreHits += o.StoreHits
 	s.StoreMisses += o.StoreMisses
-	s.DeltaReusedCones += o.DeltaReusedCones
 }
 
 // Deterministic returns the counters that are invariant across worker
@@ -317,7 +312,6 @@ func (s Stats) Deterministic() Stats {
 	s.HazCacheEvictions = 0
 	s.StoreHits = 0
 	s.StoreMisses = 0
-	s.DeltaReusedCones = 0
 	s.DecomposeTime = 0
 	s.PartitionTime = 0
 	s.CoverTime = 0
@@ -347,20 +341,6 @@ type Result struct {
 	Area    float64
 	Delay   float64
 	Stats   Stats
-
-	// delta retains every cone's solved covering solution, keyed by
-	// canonical cone signature, so a follow-up MapDelta call can re-map
-	// only the cones an edit actually changed. The solutions are tagged
-	// with the library fingerprint and option hash they were computed
-	// under; MapDelta ignores them wholesale on any mismatch.
-	delta *deltaState
-}
-
-// deltaState is the incremental-remap seed carried inside a Result.
-type deltaState struct {
-	libFP     string
-	optHash   string
-	solutions map[string][]byte // ConeKey -> encoded solution
 }
 
 // ErrInternal marks a mapper bug surfaced as an error: a panic anywhere
@@ -381,48 +361,23 @@ func Map(net *network.Network, lib *library.Library, opts Options) (res *Result,
 			res, err = nil, fmt.Errorf("%w: panic in mapping pipeline: %v\n%s", ErrInternal, r, debug.Stack())
 		}
 	}()
-	return mapPipeline(net, lib, opts, nil)
-}
-
-// MapDelta re-maps a network after an edit, reusing the per-cone covering
-// solutions retained in a previous Result for every cone whose canonical
-// signature is unchanged — the incremental (ECO) path of the pipeline.
-// Only structurally new or changed cones go through cut enumeration,
-// matching and hazard analysis; everything else replays its recorded
-// solution. Emission always runs in full over the new network, so the
-// returned netlist is byte-identical to a cold Map of the edited network.
-//
-// The previous solutions are used only if they were computed under the
-// same library fingerprint and the same semantically relevant options; on
-// any mismatch — or when prev is nil — MapDelta degrades to a plain Map.
-// Stats.DeltaReusedCones reports how many cones were reused.
-func MapDelta(prev *Result, net *network.Network, lib *library.Library, opts Options) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("%w: panic in mapping pipeline: %v\n%s", ErrInternal, r, debug.Stack())
-		}
-	}()
-	var seed *deltaState
-	if prev != nil {
-		seed = prev.delta
-	}
-	return mapPipeline(net, lib, opts, seed)
+	return mapPipeline(net, lib, opts)
 }
 
 // optionHash digests the Options fields that can change a mapping result
 // or its deterministic work counters; it is the option component of a
-// mapstore entry key and of a delta seed's compatibility tag. Fields that
-// are semantically transparent (Workers, hazard-cache selection, tracing,
-// metrics, context, RequestID) are deliberately excluded so runs differing
-// only in them share entries. opts must already have defaults applied, so
-// explicit defaults and zero values hash alike.
+// mapstore entry key. Fields that are semantically transparent (Workers,
+// hazard-cache selection, tracing, metrics, context, RequestID) are
+// deliberately excluded so runs differing only in them share entries.
+// opts must already have defaults applied, so explicit defaults and zero
+// values hash alike.
 func optionHash(o Options) string {
 	// The last field is a removed option, kept so older store entries stay warm.
 	return fmt.Sprintf("mode=%d;obj=%d;depth=%d;leaves=%d;bindings=%d;burst=%d;noindex=false",
 		o.Mode, o.Objective, o.MaxDepth, o.MaxLeaves, o.MaxBindings, o.MaxBurst)
 }
 
-func mapPipeline(net *network.Network, lib *library.Library, opts Options, seed *deltaState) (*Result, error) {
+func mapPipeline(net *network.Network, lib *library.Library, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
@@ -477,17 +432,14 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options, seed 
 	// request-scoped data — into a scratch the next request would reuse.
 	m := &mapper{lib: lib, opts: opts, netlist: nl, tid: 1, met: newMetricSet(opts.Metrics),
 		sc: acquireScratch()}
-	// Solution-reuse identity: the library fingerprint is taken *after*
-	// annotation (annotation changes matching behaviour, so pre- and
-	// post-annotation runs must not share solutions). A delta seed
-	// computed under a different fingerprint or option hash is discarded
-	// wholesale — stale solutions must not be addressable, let alone
-	// replayed.
-	m.libFP = lib.Fingerprint()
-	m.optHash = optionHash(opts)
+	// Store identity: the library fingerprint is taken *after* annotation
+	// (annotation changes matching behaviour, so pre- and post-annotation
+	// runs must not share solutions), and store entries are keyed under
+	// it, so stale solutions are never even addressed.
 	m.store = opts.Store
-	if seed != nil && seed.libFP == m.libFP && seed.optHash == m.optHash {
-		m.seed = seed.solutions
+	if m.store != nil {
+		m.libFP = lib.Fingerprint()
+		m.optHash = optionHash(opts)
 	}
 	// Reserve every signal name of the decomposed network up front, so
 	// generated names (match signals, inverter outputs) can never collide
@@ -550,17 +502,9 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options, seed 
 		opts.HazardCache.ExportMetrics(reg)
 		m.store.ExportMetrics(reg)
 	}
-	// Retain every cone's solution so the caller can MapDelta a later
-	// edit against this result. Duplicate signatures collapse onto one
-	// entry; their solutions are identical by construction.
-	ds := &deltaState{libFP: m.libFP, optHash: m.optHash,
-		solutions: make(map[string][]byte, len(prepared))}
-	for _, pc := range prepared {
-		ds.solutions[pc.coneKey] = pc.encoded
-	}
 	releaseScratch(m.sc)
 	m.sc = nil
-	return &Result{Netlist: nl, Area: area, Delay: delay, Stats: m.stats, delta: ds}, nil
+	return &Result{Netlist: nl, Area: area, Delay: delay, Stats: m.stats}, nil
 }
 
 // publishStats mirrors the run's deterministic summary into the metrics
@@ -582,7 +526,6 @@ func publishStats(reg *obs.Registry, st Stats, gates int, area, delay float64) {
 	reg.Counter("map_haz_misses").Add(uint64(st.HazCacheMisses))
 	reg.Counter("map_store_hits").Add(uint64(st.StoreHits))
 	reg.Counter("map_store_misses").Add(uint64(st.StoreMisses))
-	reg.Counter("map_delta_reused_cones").Add(uint64(st.DeltaReusedCones))
 	reg.Gauge("map_gates").Set(float64(gates))
 	reg.Gauge("map_area").Set(area)
 	reg.Gauge("map_delay").Set(delay)

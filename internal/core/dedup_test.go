@@ -88,8 +88,7 @@ func TestDistinctConesCoveredOnce(t *testing.T) {
 // TestStoreKeysTellGroupingsApart: synth-deep-120 has cones whose trees
 // differ only in how an OR chain is grouped, such as v0 + ((v1+v2)+(v3+v4))
 // and ((v0+v1)+(v2+v3)) + v4. Their signatures differ, so a warm store
-// serves every cone, no entry of the cold run reads as corrupt, and a
-// no-op MapDelta reuses every cone.
+// serves every cone and no entry of the cold run reads as corrupt.
 func TestStoreKeysTellGroupingsApart(t *testing.T) {
 	deep := synthDesign(t, "synth-deep-120")
 	lib := library.MustGet("LSI9K")
@@ -111,18 +110,8 @@ func TestStoreKeysTellGroupingsApart(t *testing.T) {
 		if c := store.Stats().Corrupt; c != 0 {
 			t.Errorf("workers=%d: store counted %d corrupt entries", workers, c)
 		}
-		delta, err := core.MapDelta(cold, deep.Net, lib, core.Options{Mode: core.Async, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if delta.Stats.DeltaReusedCones != delta.Stats.Cones {
-			t.Errorf("workers=%d: no-op MapDelta reused %d of %d cones",
-				workers, delta.Stats.DeltaReusedCones, delta.Stats.Cones)
-		}
-		for what, res := range map[string]*core.Result{"warm": warm, "delta": delta} {
-			if res.Netlist.String() != cold.Netlist.String() {
-				t.Errorf("workers=%d: %s netlist differs from the cold run", workers, what)
-			}
+		if warm.Netlist.String() != cold.Netlist.String() {
+			t.Errorf("workers=%d: warm netlist differs from the cold run", workers)
 		}
 	}
 }

@@ -40,11 +40,10 @@ type mapper struct {
 	// a design signal — including ones not yet emitted.
 	reserved map[string]bool
 
-	// Solution reuse: store is the optional persistent mapstore, seed the
-	// previous result's solutions for a MapDelta run (nil otherwise), and
-	// libFP/optHash the identity components every entry is keyed under.
+	// Solution reuse: store is the optional persistent mapstore, and
+	// libFP/optHash the identity components every entry is keyed under
+	// (set only when a store is attached).
 	store   *mapstore.Store
-	seed    map[string][]byte
 	libFP   string
 	optHash string
 
@@ -212,18 +211,10 @@ type preparedCone struct {
 	cm   *coneMapper
 	root int
 
-	// coneKey is the cone's canonical signature; encoded its serialized
-	// solution (replayed from the seed/store or freshly encoded). Both
-	// feed the Result's delta state.
-	coneKey string
-	encoded []byte
-
 	// work is the deterministic counter delta of covering this cone's
-	// signature, and reused whether its solution came from the MapDelta
-	// seed: a later cone with the same signature shares this one's
-	// choices and repeats both in the run's Stats (shareCone).
-	work   *Stats
-	reused bool
+	// signature: a later cone with the same signature shares this one's
+	// choices and repeats its counters in the run's Stats (shareCone).
+	work *Stats
 }
 
 // prepareCone builds the cone tree and solves the covering DP; ck is the
@@ -249,33 +240,25 @@ func (m *mapper) prepareCone(cone network.Cone, ck string) (*preparedCone, error
 		sp.End()
 		return nil, err
 	}
-	// Solution reuse: a MapDelta seed entry or a mapstore entry replays
-	// the cone's recorded choices (and deterministic work counters) in
-	// place of solving. Replay installs exactly what the DP would have
-	// chosen for this identity triple, so emission — which reads only the
-	// choices and recomputes all naming against the live netlist — yields
-	// a byte-identical result. An entry that fails decode validation is a
-	// miss: the cone is solved from scratch and the poisoned entry
-	// repaired with a Replace (a plain Put would dedupe against the bad
-	// record and leave it poisoning every future run).
+	// Solution reuse: a mapstore entry replays the cone's recorded choices
+	// (and deterministic work counters) in place of solving. Replay
+	// installs exactly what the DP would have chosen for this identity
+	// triple, so emission — which reads only the choices and recomputes
+	// all naming against the live netlist — yields a byte-identical
+	// result. An entry that fails decode validation is a miss: the cone is
+	// solved from scratch and the poisoned entry repaired with a Replace
+	// (a plain Put would dedupe against the bad record and leave it
+	// poisoning every future run).
 	var (
 		ek       mapstore.Key
-		enc      []byte
 		hit      bool
-		reused   bool
 		poisoned bool
 	)
-	if m.seed != nil {
-		if b, ok := m.seed[ck]; ok && cm.applySolution(root, b) == nil {
-			enc, hit, reused = b, true, true
-			m.stats.DeltaReusedCones++
-		}
-	}
-	if !hit && m.store != nil {
+	if m.store != nil {
 		ek = mapstore.EntryKey(ck, m.libFP, m.optHash)
 		if b, ok := m.store.Get(ek); ok {
 			if cm.applySolution(root, b) == nil {
-				enc, hit = b, true
+				hit = true
 				m.stats.StoreHits++
 			} else {
 				m.store.MarkCorrupt()
@@ -308,19 +291,17 @@ func (m *mapper) prepareCone(cone network.Cone, ck string) (*preparedCone, error
 		}
 	}
 	work := statsDelta(m.stats, st0)
-	if !hit {
-		enc = cm.encodeSolution(work)
-		if m.store != nil {
-			var perr error
-			if poisoned {
-				perr = m.store.Replace(ek, enc)
-			} else {
-				perr = m.store.Put(ek, enc)
-			}
-			// A failed persist (disk full, I/O error) costs durability,
-			// never correctness: the solved cone proceeds regardless.
-			_ = perr
+	if !hit && m.store != nil {
+		enc := cm.encodeSolution(work)
+		var perr error
+		if poisoned {
+			perr = m.store.Replace(ek, enc)
+		} else {
+			perr = m.store.Put(ek, enc)
 		}
+		// A failed persist (disk full, I/O error) costs durability, never
+		// correctness: the solved cone proceeds regardless.
+		_ = perr
 	}
 	if m.met.coneSeconds != nil {
 		m.met.coneSeconds.Observe(time.Since(t0).Seconds())
@@ -335,7 +316,7 @@ func (m *mapper) prepareCone(cone network.Cone, ck string) (*preparedCone, error
 	sp.SetInt("haz_shared_hits", int64(d.HazCacheHits-st0.HazCacheHits))
 	sp.SetInt("haz_misses", int64(d.HazCacheMisses-st0.HazCacheMisses))
 	sp.End()
-	return &preparedCone{cm: cm, root: root, coneKey: ck, encoded: enc, work: &work, reused: reused}, nil
+	return &preparedCone{cm: cm, root: root, work: &work}, nil
 }
 
 // shareCone prepares a cone whose signature matches the already prepared
@@ -344,9 +325,8 @@ func (m *mapper) prepareCone(cone network.Cone, ck string) (*preparedCone, error
 // and rep's counters the ones it would count. The cone gets its own tree,
 // a copy of rep's with its own leaf signals, whose nodes point at rep's
 // choices and operand lists; emission only reads both. The cone counts
-// as reused when rep replayed the MapDelta seed, and otherwise as a store
-// hit when a store is attached, as a serial run that looked the cone up
-// would count it.
+// as a store hit when a store is attached, as a serial run that looked
+// the cone up would count it.
 func (m *mapper) shareCone(rep *preparedCone, cone network.Cone) *preparedCone {
 	cm := &coneMapper{m: m, cone: cone, emitted: make(map[[2]int]string),
 		nodes: append([]tnode(nil), rep.cm.nodes...)}
@@ -365,14 +345,10 @@ func (m *mapper) shareCone(rep *preparedCone, cone network.Cone) *preparedCone {
 	}
 	relabel(cone.Expr.Root)
 	m.stats.merge(*rep.work)
-	switch {
-	case rep.reused:
-		m.stats.DeltaReusedCones++
-	case m.store != nil:
+	if m.store != nil {
 		m.stats.StoreHits++
 	}
-	return &preparedCone{cm: cm, root: rep.root, coneKey: rep.coneKey, encoded: rep.encoded,
-		work: rep.work, reused: rep.reused}
+	return &preparedCone{cm: cm, root: rep.root, work: rep.work}
 }
 
 // prepareConeProfiled runs prepareCone, attaching runtime/pprof labels
@@ -470,7 +446,7 @@ func (m *mapper) coverCones(cones []network.Cone, keys []string, todo []int, out
 			// strictly private, so no locking anywhere on the hot path.
 			shadow := &mapper{lib: m.lib, opts: m.opts, netlist: m.netlist, midx: m.midx,
 				inv: m.inv, bufCell: m.bufCell, tid: w + 1, met: m.met,
-				reserved: m.reserved, store: m.store, seed: m.seed,
+				reserved: m.reserved, store: m.store,
 				libFP: m.libFP, optHash: m.optHash, sc: acquireScratch()}
 			clean := true
 			// Workers always drain the jobs channel — on cancellation they

@@ -310,10 +310,37 @@ func TestStorePoisonedEntryRecovered(t *testing.T) {
 	}
 }
 
-// TestMapDeltaSingleConeEdit is the ECO loop: after editing one output's
-// logic, MapDelta must re-map strictly fewer cones than the full design
-// and still match a cold map of the edited network byte for byte.
-func TestMapDeltaSingleConeEdit(t *testing.T) {
+// ecoThroughStore is the incremental (ECO) loop through the store: map
+// storeSrc into an empty memory store, then map the edited design against
+// it. The edited run must be byte-identical to a cold map of the edited
+// design, deterministic stats included, and is returned for the caller to
+// check which cones it replayed.
+func ecoThroughStore(t *testing.T, editedSrc string, workers int) (eco *Result, net *network.Network) {
+	t.Helper()
+	lib := library.MustGet("LSI9K")
+	store := mapstore.NewMemory(0)
+	mapWith(t, storeSrc, Options{Mode: Async, Workers: workers, Store: store})
+	cold := mapWith(t, editedSrc, Options{Mode: Async, Workers: workers})
+	net = parseNet(t, editedSrc, "storetest")
+	eco, err := Map(net, lib, Options{Mode: Async, Workers: workers, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eco.Netlist.String() != cold.Netlist.String() {
+		t.Fatalf("workers=%d: store-backed netlist differs from cold map:\n%s\n---\n%s",
+			workers, eco.Netlist, cold.Netlist)
+	}
+	if eco.Stats.Deterministic() != cold.Stats.Deterministic() {
+		t.Fatalf("workers=%d: store-backed deterministic stats fork:\n%+v\n---\n%+v",
+			workers, cold.Stats.Deterministic(), eco.Stats.Deterministic())
+	}
+	return eco, net
+}
+
+// TestStoreSingleConeEdit: after one output's logic is edited, the store
+// written by the original design serves every unchanged cone, and only
+// the edited output's cones are covered again.
+func TestStoreSingleConeEdit(t *testing.T) {
 	editedSrc := `
 INPUT(a, b, c, d)
 OUTPUT(f, g, h, k)
@@ -324,46 +351,20 @@ w = c*d + a;
 h = w;
 k = a'*b'*d + c*b;
 `
-	prev := mapWith(t, storeSrc, Options{Mode: Async})
-
-	net := parseNet(t, editedSrc, "storetest")
-	lib := library.MustGet("LSI9K")
-	cold, err := Map(net, lib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net2 := parseNet(t, editedSrc, "storetest")
-	delta, err := MapDelta(prev, net2, lib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.Netlist.String() != cold.Netlist.String() {
-		t.Fatalf("delta netlist differs from cold map:\n%s\n---\n%s", delta.Netlist, cold.Netlist)
-	}
-	if delta.Stats.Deterministic() != cold.Stats.Deterministic() {
-		t.Fatalf("delta deterministic stats fork:\n%+v\n---\n%+v",
-			cold.Stats.Deterministic(), delta.Stats.Deterministic())
-	}
-	reused := delta.Stats.DeltaReusedCones
-	remapped := delta.Stats.Cones - reused
-	if reused == 0 {
-		t.Fatal("delta run reused nothing")
-	}
-	if remapped >= delta.Stats.Cones {
-		t.Fatalf("delta re-mapped %d of %d cones — not fewer than the full design",
-			remapped, delta.Stats.Cones)
-	}
-	// Only the edited output's cone(s) changed structurally.
-	if remapped > 2 {
-		t.Fatalf("single-output edit re-mapped %d cones", remapped)
+	for _, workers := range []int{1, 4} {
+		eco, _ := ecoThroughStore(t, editedSrc, workers)
+		if st := eco.Stats; st.Cones != 6 || st.StoreMisses != 2 || st.StoreHits != 4 {
+			t.Errorf("workers=%d: cones=%d misses=%d hits=%d, want 6, 2 and 4",
+				workers, st.Cones, st.StoreMisses, st.StoreHits)
+		}
 	}
 }
 
-// TestMapDeltaStructurallyInvariantEdit: renaming a leaf inside a cone
-// (h reading b instead of a) keeps the cone's canonical structure, so
-// MapDelta reuses everything — and the result is still the edited
-// design's mapping, because emission applies the *actual* leaf names.
-func TestMapDeltaStructurallyInvariantEdit(t *testing.T) {
+// TestStoreStructurallyInvariantEdit: renaming a leaf inside a cone (h
+// reading b instead of a) keeps the cone's canonical structure, so the
+// store serves every cone — and the result is still the edited design's
+// mapping, because emission applies the actual leaf names.
+func TestStoreStructurallyInvariantEdit(t *testing.T) {
 	editedSrc := `
 INPUT(a, b, c, d)
 OUTPUT(f, g, h, k)
@@ -374,93 +375,14 @@ w = c*d + b;
 h = w;
 k = a'*b' + c*d';
 `
-	prev := mapWith(t, storeSrc, Options{Mode: Async})
-	net := parseNet(t, editedSrc, "storetest")
-	lib := library.MustGet("LSI9K")
-	cold, err := Map(net, lib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net2 := parseNet(t, editedSrc, "storetest")
-	delta, err := MapDelta(prev, net2, lib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.Netlist.String() != cold.Netlist.String() {
-		t.Fatal("delta netlist differs from cold map after leaf-rename edit")
-	}
-	if delta.Stats.DeltaReusedCones != delta.Stats.Cones {
-		t.Fatalf("leaf rename should reuse all cones: reused %d of %d",
-			delta.Stats.DeltaReusedCones, delta.Stats.Cones)
-	}
-	if err := VerifyEquivalence(net, delta.Netlist); err != nil {
-		t.Fatalf("delta result not equivalent to edited design: %v", err)
-	}
-}
-
-// TestMapDeltaStaleSeedIgnored: a seed computed under different options
-// or a different library must be discarded wholesale.
-func TestMapDeltaStaleSeedIgnored(t *testing.T) {
-	prev := mapWith(t, storeSrc, Options{Mode: Async})
-
-	// Different semantically relevant option.
-	net := parseNet(t, storeSrc, "storetest")
-	lib := library.MustGet("LSI9K")
-	res, err := MapDelta(prev, net, lib, Options{Mode: Async, MaxBurst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.DeltaReusedCones != 0 {
-		t.Fatalf("option-mismatched seed reused %d cones", res.Stats.DeltaReusedCones)
-	}
-	base, err := Map(parseNet(t, storeSrc, "storetest"), lib, Options{Mode: Async, MaxBurst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Netlist.String() != base.Netlist.String() {
-		t.Fatal("stale-seed delta differs from cold map")
-	}
-
-	// Edited library: fingerprints differ, seed must be ignored.
-	elib := editedLib(t)
-	res2, err := MapDelta(prev, parseNet(t, storeSrc, "storetest"), elib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.DeltaReusedCones != 0 {
-		t.Fatalf("library-mismatched seed reused %d cones", res2.Stats.DeltaReusedCones)
-	}
-
-	// Nil previous result: plain map.
-	res3, err := MapDelta(nil, parseNet(t, storeSrc, "storetest"), lib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Netlist.String() != prev.Netlist.String() {
-		t.Fatal("MapDelta(nil, …) differs from Map")
-	}
-}
-
-// TestMapDeltaChains: a delta result carries its own solutions, so deltas
-// compose — edit after edit, each reusing the previous run's work.
-func TestMapDeltaChains(t *testing.T) {
-	lib := library.MustGet("LSI9K")
-	prev := mapWith(t, storeSrc, Options{Mode: Async})
-	d1, err := MapDelta(prev, parseNet(t, storeSrc, "storetest"), lib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Stats.DeltaReusedCones != d1.Stats.Cones {
-		t.Fatalf("no-op delta reused %d of %d cones", d1.Stats.DeltaReusedCones, d1.Stats.Cones)
-	}
-	d2, err := MapDelta(d1, parseNet(t, storeSrc, "storetest"), lib, Options{Mode: Async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Stats.DeltaReusedCones != d2.Stats.Cones {
-		t.Fatal("chained delta lost its seed")
-	}
-	if d2.Netlist.String() != prev.Netlist.String() {
-		t.Fatal("chained delta diverged")
+	for _, workers := range []int{1, 4} {
+		eco, net := ecoThroughStore(t, editedSrc, workers)
+		if st := eco.Stats; st.Cones != 7 || st.StoreHits != 7 || st.StoreMisses != 0 {
+			t.Errorf("workers=%d: cones=%d hits=%d misses=%d, want 7, 7 and 0",
+				workers, st.Cones, st.StoreHits, st.StoreMisses)
+		}
+		if err := VerifyEquivalence(net, eco.Netlist); err != nil {
+			t.Fatalf("workers=%d: result not equivalent to the edited design: %v", workers, err)
+		}
 	}
 }

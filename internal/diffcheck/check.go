@@ -38,9 +38,8 @@ const (
 	KindHazard = "hazard"
 	// KindRoundTrip: eqn/BLIF write→parse does not preserve the design.
 	KindRoundTrip = "round-trip"
-	// KindStore: the persistent mapping store or the delta path violated
-	// its coherence contract — a warm run missed entries its own cold run
-	// just wrote, or a delta run of the identical design re-solved cones.
+	// KindStore: the persistent mapping store violated its coherence
+	// contract — a warm run missed entries its own cold run just wrote.
 	KindStore = "store"
 )
 
@@ -74,7 +73,7 @@ type Options struct {
 	// safety, round trips), keeping only the differential and
 	// well-formedness checks. Used by tight fuzz loops on large designs.
 	SkipVerify bool
-	// SkipStoreAxes drops the storecold/storewarm/delta variants from the
+	// SkipStoreAxes drops the storecold/storewarm variants from the
 	// matrix, reverting to the pre-store matrix. For A/B measurement of
 	// the fuzz budget; the axes are on by default because stale-key and
 	// invalidation bugs are exactly what differential fuzzing flushes out.
@@ -112,9 +111,6 @@ type variant struct {
 	name string
 	opts func(core.Options) core.Options
 	ctx  context.Context
-	// delta maps through core.MapDelta seeded with the serial baseline's
-	// result instead of core.Map.
-	delta bool
 }
 
 func matrix(workers int, store *mapstore.Store) []variant {
@@ -131,18 +127,15 @@ func matrix(workers int, store *mapstore.Store) []variant {
 			opts: func(o core.Options) core.Options { o.Workers = 1; return o }},
 	}
 	if store != nil {
-		// The persistent-store and delta axes. storecold populates the
-		// (private, empty) store; storewarm re-maps against the entries it
-		// wrote; delta re-maps the identical design seeded with the serial
-		// baseline's solutions. All three must be byte-identical to the
-		// baseline with identical deterministic stats — this is exactly the
-		// harness shape that flushes out stale-key and invalidation bugs.
+		// The persistent-store axes. storecold populates the (private,
+		// empty) store; storewarm re-maps against the entries it wrote.
+		// Both must be byte-identical to the baseline with identical
+		// deterministic stats — this is exactly the harness shape that
+		// flushes out stale-key and invalidation bugs.
 		withStore := func(o core.Options) core.Options { o.Workers = 1; o.Store = store; return o }
 		vars = append(vars,
 			variant{name: "storecold", opts: withStore},
 			variant{name: "storewarm", opts: withStore},
-			variant{name: "delta", delta: true,
-				opts: func(o core.Options) core.Options { o.Workers = 1; return o }},
 		)
 	}
 	return vars
@@ -211,12 +204,7 @@ func checkMode(net *network.Network, mode core.Mode, workers int, opts Options, 
 	vars := matrix(workers, store)
 	outs := make([]outcome, 0, len(vars))
 	for _, v := range vars {
-		o := v.opts(base)
-		var prev *core.Result
-		if v.delta && len(outs) > 0 {
-			prev = outs[0].res // serial baseline's retained solutions
-		}
-		res, err := safeMap(v.ctx, v.delta, prev, net, opts.Lib, o)
+		res, err := safeMap(v.ctx, net, opts.Lib, v.opts(base))
 		if err != nil && errors.Is(err, core.ErrInternal) {
 			rep.add(KindPanic, ms, v.name, err.Error())
 		}
@@ -257,20 +245,11 @@ func checkMode(net *network.Network, mode core.Mode, workers int, opts Options, 
 				fmt.Sprintf("deterministic stats differ: %+v vs baseline %+v", st, baseStats))
 		}
 		// Store coherence: a warm run over the very store its cold twin
-		// filled must hit on every cone, and a delta run of the identical
-		// design must reuse every cone. A shortfall is a key-derivation or
+		// filled must hit on every cone. A shortfall is a key-derivation or
 		// invalidation bug even when the netlist happens to match.
-		switch o.variant.name {
-		case "storewarm":
-			if st := o.res.Stats; st.StoreHits != st.Cones {
-				rep.add(KindStore, ms, o.variant.name,
-					fmt.Sprintf("warm store hit %d of %d cones", st.StoreHits, st.Cones))
-			}
-		case "delta":
-			if st := o.res.Stats; st.DeltaReusedCones != st.Cones {
-				rep.add(KindStore, ms, o.variant.name,
-					fmt.Sprintf("identity delta reused %d of %d cones", st.DeltaReusedCones, st.Cones))
-			}
+		if st := o.res.Stats; o.variant.name == "storewarm" && st.StoreHits != st.Cones {
+			rep.add(KindStore, ms, o.variant.name,
+				fmt.Sprintf("warm store hit %d of %d cones", st.StoreHits, st.Cones))
 		}
 	}
 
@@ -294,15 +273,12 @@ func checkMode(net *network.Network, mode core.Mode, workers int, opts Options, 
 // safeMap invokes the mapper with a harness-level panic backstop. Map
 // already converts pipeline panics to ErrInternal; anything the backstop
 // catches is a bug in that boundary itself.
-func safeMap(ctx context.Context, delta bool, prev *core.Result, net *network.Network, lib *library.Library, o core.Options) (res *core.Result, err error) {
+func safeMap(ctx context.Context, net *network.Network, lib *library.Library, o core.Options) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%w: panic escaped core.Map: %v", core.ErrInternal, r)
 		}
 	}()
-	if delta {
-		return core.MapDelta(prev, net, lib, o)
-	}
 	if ctx != nil {
 		return core.MapContext(ctx, net, lib, o)
 	}

@@ -250,8 +250,8 @@ func TestCheckRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestStoreAxes: the matrix carries the persistent-store and delta
-// variants unless explicitly skipped, and a skipped matrix still passes.
+// TestStoreAxes: the matrix carries the persistent-store variants unless
+// explicitly skipped, and a skipped matrix still passes.
 func TestStoreAxes(t *testing.T) {
 	names := func(vars []variant) map[string]bool {
 		m := make(map[string]bool, len(vars))
@@ -261,13 +261,13 @@ func TestStoreAxes(t *testing.T) {
 		return m
 	}
 	withStore := names(matrix(4, mapstore.NewMemory(0)))
-	for _, want := range []string{"storecold", "storewarm", "delta"} {
+	for _, want := range []string{"storecold", "storewarm"} {
 		if !withStore[want] {
 			t.Errorf("matrix missing %s axis", want)
 		}
 	}
 	without := names(matrix(4, nil))
-	for _, skip := range []string{"storecold", "storewarm", "delta"} {
+	for _, skip := range []string{"storecold", "storewarm"} {
 		if without[skip] {
 			t.Errorf("nil-store matrix still contains %s axis", skip)
 		}

@@ -4,8 +4,8 @@ package diffcheck
 //
 // Unlike the in-process option matrix, this axis crosses the HTTP
 // boundary: the same serialized design text is mapped once through a
-// fleet coordinator (cone-sharded or design-wise dispatch, hedged
-// retries, worker failures and all) and once through a plain
+// fleet coordinator (design-wise dispatch, hedged retries, worker
+// failures and all) and once through a plain
 // single-process server, and the two responses must agree exactly.
 //
 // The comparison is deliberately fleet-vs-local of the *same served
@@ -51,7 +51,7 @@ type FleetMapFunc func(net *network.Network, mode core.Mode) (*FleetOutcome, err
 // the in-process matrix: fleet and local must agree on failure, and on
 // success the netlist text and the deterministic stats view must be
 // identical — no matter which workers died, straggled or returned
-// garbage while the coordinator assembled its answer.
+// garbage before the coordinator got its answer.
 func checkFleet(net *network.Network, mode core.Mode, opts Options, rep *Report) {
 	ms := mode.String()
 	fo, err := opts.FleetMap(net, mode)

@@ -84,7 +84,7 @@ func TestFleetAxisNondeterministicStatsIgnored(t *testing.T) {
 	// the Deterministic view must agree.
 	opts := fleetTestOptions(t, func(*network.Network, core.Mode) (*FleetOutcome, error) {
 		return &FleetOutcome{FleetNetlist: "nl\n", LocalNetlist: "nl\n",
-			FleetStats: core.Stats{Cones: 3, DeltaReusedCones: 3, StoreHits: 1},
+			FleetStats: core.Stats{Cones: 3, StoreHits: 1},
 			LocalStats: core.Stats{Cones: 3}}, nil
 	})
 	if got := fleetViolations(Check(fleetTestNet(), opts)); len(got) != 0 {

@@ -2,8 +2,8 @@
 // harness. It generates random combinational networks (biased toward the
 // structures that stress the asynchronous mapper: reconvergent fanout and
 // wide supports), maps each one across the full option matrix — cache
-// on/off, worker counts, with and without a context, store cold/warm and
-// delta — and asserts the invariants the rest of the system relies on:
+// on/off, worker counts, with and without a context, store cold and
+// warm — and asserts the invariants the rest of the system relies on:
 //
 //   - every variant agrees byte-for-byte on the emitted netlist,
 //   - the deterministic stats view agrees across cache/worker variants,

@@ -1,7 +1,8 @@
 // Package fleet distributes opaque HTTP jobs across a set of worker
 // endpoints. It is the transport half of asyncmapd's coordinator mode:
-// the server decides *what* to shard (designs, cone shards) and how to
-// merge; this package decides *where* each job runs and keeps it running.
+// the server decides *what* each job is (one design per /map job) and
+// how to answer; this package decides *where* each job runs and keeps it
+// running.
 //
 // Dispatch is a work-stealing queue: every worker runs a fixed number of
 // runner goroutines that pull jobs from one shared channel, so a slow
@@ -105,10 +106,10 @@ const LocalWorker = "local"
 
 // Job is one unit of dispatch: an opaque JSON payload POSTed to a path
 // on whichever worker takes it. Index is the caller's correlation key
-// and must be unique within one Do/Go call.
+// and must be unique within one Go call.
 type Job struct {
 	Index int
-	// Path is the worker-relative URL ("/map", "/map/cones").
+	// Path is the worker-relative URL ("/map").
 	Path string
 	// Body is POSTed verbatim as application/json.
 	Body []byte
@@ -117,7 +118,7 @@ type Job struct {
 	// Timeout bounds each individual attempt; 0 means the attempt runs
 	// under the dispatch context's own deadline only. The per-job ctx is
 	// always a child of the dispatch ctx, so the request deadline caps
-	// every shard either way.
+	// every job either way.
 	Timeout time.Duration
 }
 
@@ -192,7 +193,7 @@ func (w *worker) ok() {
 
 // Coordinator dispatches jobs across the configured workers. One
 // Coordinator is long-lived (its per-worker stats accumulate across
-// dispatches) and safe for concurrent Do/Go calls.
+// dispatches) and safe for concurrent Go calls.
 type Coordinator struct {
 	cfg     Config
 	workers []*worker
@@ -274,20 +275,6 @@ func (c *Coordinator) Status() Status {
 		})
 	}
 	return st
-}
-
-// Do dispatches jobs and blocks until every job has a Result, returned
-// in the jobs' order. Job indices must be unique within the call.
-func (c *Coordinator) Do(ctx context.Context, jobs []Job) []Result {
-	out := make([]Result, len(jobs))
-	pos := make(map[int]int, len(jobs))
-	for i, j := range jobs {
-		pos[j.Index] = i
-	}
-	for r := range c.Go(ctx, jobs) {
-		out[pos[r.Index]] = r
-	}
-	return out
 }
 
 // Go dispatches jobs and returns a channel delivering exactly len(jobs)

@@ -70,8 +70,9 @@ func TestNewRejectsEmptyFleet(t *testing.T) {
 }
 
 // TestDoDistributesAndOrders: a batch larger than one worker's capacity
-// spreads across the fleet, and Do returns results in job order with the
-// winning worker recorded. Each worker holds its responses until both
+// spreads across the fleet, and Go delivers one result per job, each
+// under its job's index with its job's payload and the winning worker
+// recorded. Each worker holds its responses until both
 // workers have received a request; an echo that answered at once would let
 // one worker's runners drain the whole batch before the other's started.
 func TestDoDistributesAndOrders(t *testing.T) {
@@ -108,24 +109,25 @@ func TestDoDistributesAndOrders(t *testing.T) {
 		hdr.Set("X-Job", fmt.Sprint(i))
 		jobs[i] = Job{Index: i, Path: "/", Header: hdr}
 	}
-	res := c.Do(context.Background(), jobs)
-	if len(res) != len(jobs) {
-		t.Fatalf("got %d results, want %d", len(res), len(jobs))
-	}
-	for i, r := range res {
+	seen := make(map[int]bool, len(jobs))
+	for r := range c.Go(context.Background(), jobs) {
 		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
+			t.Fatalf("job %d: %v", r.Index, r.Err)
 		}
-		if r.Index != i {
-			t.Fatalf("result %d has index %d — Do must return job order", i, r.Index)
+		if seen[r.Index] || r.Index < 0 || r.Index >= len(jobs) {
+			t.Fatalf("result with index %d is not one result per job", r.Index)
 		}
-		want := fmt.Sprintf(":%d", i)
+		seen[r.Index] = true
+		want := fmt.Sprintf(":%d", r.Index)
 		if !strings.HasSuffix(string(r.Body), want) {
-			t.Fatalf("job %d body %q lost its payload", i, r.Body)
+			t.Fatalf("job %d body %q lost its payload", r.Index, r.Body)
 		}
 		if r.Worker != w0.URL && r.Worker != w1.URL {
-			t.Fatalf("job %d attributed to %q", i, r.Worker)
+			t.Fatalf("job %d attributed to %q", r.Index, r.Worker)
 		}
+	}
+	if len(seen) != len(jobs) {
+		t.Fatalf("got %d results, want %d", len(seen), len(jobs))
 	}
 	if h0.Load() == 0 || h1.Load() == 0 {
 		t.Fatalf("work not distributed: worker hits %d / %d", h0.Load(), h1.Load())
@@ -143,10 +145,9 @@ func TestRetryAfter500(t *testing.T) {
 	reg := obs.NewRegistry()
 	defer goroutineGuard(t)()
 	c := mustNew(t, Config{Workers: []string{bad.URL, good.URL}, Registry: reg, HedgeAfter: -1})
-	res := c.Do(context.Background(), []Job{{Index: 0, Path: "/"}, {Index: 1, Path: "/"}})
-	for i, r := range res {
+	for r := range c.Go(context.Background(), []Job{{Index: 0, Path: "/"}, {Index: 1, Path: "/"}}) {
 		if r.Err != nil || r.Worker != good.URL {
-			t.Fatalf("job %d: worker %q err %v, want win on good worker", i, r.Worker, r.Err)
+			t.Fatalf("job %d: worker %q err %v, want win on good worker", r.Index, r.Worker, r.Err)
 		}
 	}
 	st := c.Status()
@@ -224,9 +225,9 @@ func TestValidateRejectsCorruptBody(t *testing.T) {
 			return nil
 		},
 	})
-	res := c.Do(context.Background(), []Job{{Index: 0, Path: "/"}})
-	if res[0].Err != nil || res[0].Worker != good.URL {
-		t.Fatalf("want validated win on good worker, got worker %q err %v", res[0].Worker, res[0].Err)
+	r := <-c.Go(context.Background(), []Job{{Index: 0, Path: "/"}})
+	if r.Err != nil || r.Worker != good.URL {
+		t.Fatalf("want validated win on good worker, got worker %q err %v", r.Worker, r.Err)
 	}
 }
 
@@ -241,9 +242,9 @@ func Test4xxIsDeterministicOutcome(t *testing.T) {
 	t.Cleanup(srv.Close)
 	defer goroutineGuard(t)()
 	c := mustNew(t, Config{Workers: []string{srv.URL}, HedgeAfter: -1})
-	res := c.Do(context.Background(), []Job{{Index: 0, Path: "/"}})
-	if res[0].Err != nil || res[0].Status != http.StatusUnprocessableEntity {
-		t.Fatalf("want status 422 with nil err, got %d / %v", res[0].Status, res[0].Err)
+	r := <-c.Go(context.Background(), []Job{{Index: 0, Path: "/"}})
+	if r.Err != nil || r.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("want status 422 with nil err, got %d / %v", r.Status, r.Err)
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("4xx burned %d attempts, want 1", hits.Load())
@@ -271,11 +272,11 @@ func TestHedgingBeatsStraggler(t *testing.T) {
 	defer goroutineGuard(t)()
 	c := mustNew(t, Config{Workers: []string{w0.URL, w1.URL}, HedgeAfter: 30 * time.Millisecond})
 	start := time.Now()
-	res := c.Do(context.Background(), []Job{{Index: 0, Path: "/"}})
-	if res[0].Err != nil || string(res[0].Body) != "hedged-win" {
-		t.Fatalf("hedge did not win: %+v", res[0])
+	r := <-c.Go(context.Background(), []Job{{Index: 0, Path: "/"}})
+	if r.Err != nil || string(r.Body) != "hedged-win" {
+		t.Fatalf("hedge did not win: %+v", r)
 	}
-	if !res[0].Hedged {
+	if !r.Hedged {
 		t.Fatal("result not marked hedged")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
@@ -305,8 +306,7 @@ func TestLocalFallbackAfterExhaustion(t *testing.T) {
 			return http.StatusOK, []byte("local-ok"), nil
 		},
 	})
-	res := c.Do(context.Background(), []Job{{Index: 7, Path: "/"}})
-	r := res[0]
+	r := <-c.Go(context.Background(), []Job{{Index: 7, Path: "/"}})
 	if r.Err != nil || r.Worker != LocalWorker || string(r.Body) != "local-ok" {
 		t.Fatalf("want local fallback win, got %+v", r)
 	}
@@ -327,9 +327,9 @@ func TestExhaustionWithoutLocalYieldsError(t *testing.T) {
 	t.Cleanup(bad.Close)
 	defer goroutineGuard(t)()
 	c := mustNew(t, Config{Workers: []string{bad.URL}, MaxAttempts: 2, HedgeAfter: -1})
-	res := c.Do(context.Background(), []Job{{Index: 0, Path: "/"}})
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "status 502") {
-		t.Fatalf("want surfaced 502 error, got %v", res[0].Err)
+	r := <-c.Go(context.Background(), []Job{{Index: 0, Path: "/"}})
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "status 502") {
+		t.Fatalf("want surfaced 502 error, got %v", r.Err)
 	}
 }
 
@@ -345,9 +345,9 @@ func TestJobTimeoutBoundsAttempt(t *testing.T) {
 	t.Cleanup(slow.Close)
 	defer goroutineGuard(t)()
 	c := mustNew(t, Config{Workers: []string{slow.URL}, MaxAttempts: 1, HedgeAfter: -1})
-	res := c.Do(context.Background(), []Job{{Index: 0, Path: "/", Timeout: 50 * time.Millisecond}})
-	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("want deadline error, got %v", res[0].Err)
+	r := <-c.Go(context.Background(), []Job{{Index: 0, Path: "/", Timeout: 50 * time.Millisecond}})
+	if !errors.Is(r.Err, context.DeadlineExceeded) {
+		t.Fatalf("want deadline error, got %v", r.Err)
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 // wherever in a design they sit. That is the condition under which the
 // covering DP produces the same solution for both: leaf costs are
 // context-free and cluster functions are already positional. The
-// signature is the mapper's one cone identity: store entries, MapDelta
-// seeds, shard solutions and the grouping of a run's repeated cones are
-// all keyed by it.
+// signature is the mapper's one cone identity: store entries and the
+// grouping of a run's repeated cones are both keyed by it.
 //
 // The key parenthesises an AND or OR operand of the same operator, which
 // Expr.String flattens; signatures rendered with String let differently

@@ -69,7 +69,8 @@ func checkSeeds(t *testing.T, opts diffcheck.Options, seeds ...uint64) {
 }
 
 // TestFleetDiffcheckAxis: zero violations over a healthy two-worker
-// fleet (single-design batches take the cone-sharded path).
+// fleet (single-design batches are dispatched design-wise, one /map job
+// each).
 func TestFleetDiffcheckAxis(t *testing.T) {
 	defer fleetGuard(t)()
 	f, err := StartInProcessFleet(2, Config{Libraries: []string{"LSI9K"}})
@@ -82,7 +83,8 @@ func TestFleetDiffcheckAxis(t *testing.T) {
 
 // TestFleetDiffcheckAxisUnderFaults: the axis still reports zero
 // violations when one worker of the fleet corrupts every other reply —
-// retries, validation and local assembly keep byte identity.
+// retries, validation and local fallback keep byte identity. Each design
+// is a single-design batch, dispatched design-wise.
 func TestFleetDiffcheckAxisUnderFaults(t *testing.T) {
 	corrupting, _ := wrapWorker(t, func(n int64, w http.ResponseWriter, r *http.Request) bool {
 		if n%2 == 1 {

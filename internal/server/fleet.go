@@ -3,23 +3,15 @@ package server
 // Fleet coordination: the server-side half of coordinator mode.
 //
 // A server started with FleetWorkers dispatches /map/batch work across
-// plain asyncmapd workers through the internal/fleet queue. Two shapes:
+// plain asyncmapd workers through the internal/fleet queue. Each batch
+// design, a single-design batch included, becomes one /map job on some
+// worker; the coordinator relays the worker's response verbatim.
 //
-//   - design-wise: each batch design becomes one /map job on some worker;
-//     the coordinator relays the worker's response verbatim.
-//   - cone-wise: a single-design batch on a multi-worker fleet is split
-//     at cone granularity — every worker runs /map/cones for its shard of
-//     the covering DP and ships back encoded per-cone solutions; the
-//     coordinator seeds core.MapDelta with their union and assembles the
-//     netlist locally.
-//
-// Determinism is structural, not best-effort: cone assembly replays
-// recorded solutions through the same exhaustive validation MapDelta
-// applies to its own cache, so a missing / corrupt / wrong-identity shard
-// degrades to solving those cones locally and the emitted netlist is
-// byte-identical to a single-process run no matter which workers died.
-// Design-wise jobs fall back to local mapping after remote exhaustion for
-// the same reason: a batch always completes with the same answers.
+// Determinism is structural, not best-effort: every worker runs the same
+// deterministic mapper, so a design's netlist is byte-identical to a
+// single-process run whichever worker answers. Jobs fall back to local
+// mapping after remote exhaustion for the same reason: a batch always
+// completes with the same answers.
 
 import (
 	"context"
@@ -30,48 +22,24 @@ import (
 	"sync"
 	"time"
 
-	"gfmap/internal/core"
 	"gfmap/internal/fleet"
 )
 
-// fleetTransportSlack pads a shard's attempt deadline past the design's
-// own mapping deadline, so a worker that times out answers with its
+// fleetTransportSlack pads a job's attempt deadline past the design's own
+// mapping deadline, so a worker that times out answers with its
 // structured 504 body instead of the coordinator sawing the connection
 // off first.
 const fleetTransportSlack = 2 * time.Second
-
-// ConeShardRequest asks a worker to solve one shard of a design's cones:
-// the full design request plus the shard coordinates. The worker
-// validates the request exactly like /map and runs the pipeline front
-// half only (no emission).
-type ConeShardRequest struct {
-	MapRequest
-	ShardIndex int `json:"shard_index"`
-	ShardCount int `json:"shard_count"`
-}
-
-// ConeShardResponse carries one shard's encoded cone solutions. LibFP and
-// OptHash identify what they were computed against; the coordinator
-// discards a response whose identity differs from its own expectation.
-type ConeShardResponse struct {
-	RequestID string            `json:"request_id,omitempty"`
-	LibFP     string            `json:"lib_fp"`
-	OptHash   string            `json:"opt_hash"`
-	Cones     int               `json:"cones"`
-	Solved    int               `json:"solved"`
-	Solutions map[string][]byte `json:"solutions"`
-	ElapsedMS float64           `json:"elapsed_ms"`
-}
 
 // fleetState wires a fleet.Coordinator into the server.
 type fleetState struct {
 	s     *Server
 	coord *fleet.Coordinator
 
-	// localMu serialises design-job local fallbacks: the batch already
-	// holds one admission slot, and fallbacks bypassing admission (they
-	// must, or a busy coordinator would deadlock its own batch) should not
-	// multiply beyond the single-process batch behaviour they emulate.
+	// localMu serialises local fallbacks: the batch already holds one
+	// admission slot, and fallbacks bypassing admission (they must, or a
+	// busy coordinator would deadlock its own batch) should not multiply
+	// beyond the single-process batch behaviour they emulate.
 	localMu sync.Mutex
 }
 
@@ -97,18 +65,8 @@ func newFleetState(s *Server) (*fleetState, error) {
 // validateFleetBody is the fleet's byte-validity gate: a reply only wins
 // if it parses as the wire type its status implies. Anything else is a
 // corrupt worker and the attempt is retried elsewhere.
-func validateFleetBody(job fleet.Job, status int, body []byte) error {
+func validateFleetBody(_ fleet.Job, status int, body []byte) error {
 	if status == http.StatusOK {
-		if job.Path == "/map/cones" {
-			var cr ConeShardResponse
-			if err := json.Unmarshal(body, &cr); err != nil {
-				return err
-			}
-			if cr.LibFP == "" || cr.OptHash == "" {
-				return errors.New("cone response missing solution identity")
-			}
-			return nil
-		}
 		var mr MapResponse
 		if err := json.Unmarshal(body, &mr); err != nil {
 			return err
@@ -128,14 +86,10 @@ func validateFleetBody(job fleet.Job, status int, body []byte) error {
 	return nil
 }
 
-// local is the fleet's fallback after remote exhaustion. Design jobs map
+// local is the fleet's fallback after remote exhaustion: the design maps
 // in-process, mimicking the worker's HTTP envelope so the result decodes
-// uniformly. Cone jobs return an empty (identity-less) body: assembly
-// solves missing cones itself, so solving here would do the work twice.
+// uniformly.
 func (f *fleetState) local(ctx context.Context, job fleet.Job) (int, []byte, error) {
-	if job.Path == "/map/cones" {
-		return http.StatusOK, []byte("{}"), nil
-	}
 	f.localMu.Lock()
 	defer f.localMu.Unlock()
 	var req MapRequest
@@ -154,19 +108,9 @@ func (f *fleetState) local(ctx context.Context, job fleet.Job) (int, []byte, err
 	return http.StatusOK, body, nil
 }
 
-// batchOutcomes dispatches one batch across the fleet. A single design on
-// a multi-worker fleet is split cone-wise; otherwise each design is one
-// job.
+// batchOutcomes dispatches one batch across the fleet, one job per
+// design.
 func (f *fleetState) batchOutcomes(ctx context.Context, rid string, designs []MapRequest) <-chan batchOutcome {
-	if len(designs) == 1 && len(f.coord.WorkerURLs()) > 1 {
-		out := make(chan batchOutcome, 1)
-		go func() {
-			defer close(out)
-			resp, err := f.mapViaCones(ctx, rid, designs[0])
-			out <- batchOutcome{index: 0, resp: resp, err: err}
-		}()
-		return out
-	}
 	jobs := make([]fleet.Job, len(designs))
 	for i, req := range designs {
 		body, _ := json.Marshal(req)
@@ -213,63 +157,6 @@ func designOutcome(r fleet.Result) batchOutcome {
 	return o
 }
 
-// mapViaCones maps one design by sharding its cones across every worker
-// and assembling locally. Lost, corrupt or wrong-identity shards are
-// simply absent from the seed — MapDelta solves those cones here, so the
-// result is byte-identical to a single-process run regardless of worker
-// behaviour.
-func (f *fleetState) mapViaCones(ctx context.Context, rid string, req MapRequest) (*MapResponse, error) {
-	s := f.s
-	rr, err := s.resolveRequest(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	wantFP, wantOH, err := core.SolutionIdentity(rr.lib, rr.opts)
-	if err != nil {
-		return nil, err
-	}
-	shards := len(f.coord.WorkerURLs())
-	jobs := make([]fleet.Job, shards)
-	for i := range jobs {
-		body, _ := json.Marshal(ConeShardRequest{MapRequest: req, ShardIndex: i, ShardCount: shards})
-		jobs[i] = fleet.Job{
-			Index:   i,
-			Path:    "/map/cones",
-			Body:    body,
-			Header:  fleetHeader(rid),
-			Timeout: rr.timeout + fleetTransportSlack,
-		}
-	}
-	union := make(map[string][]byte)
-	for _, r := range f.coord.Do(ctx, jobs) {
-		if r.Err != nil || r.Status != http.StatusOK {
-			continue // lost shard: its cones are solved during assembly
-		}
-		var cr ConeShardResponse
-		if json.Unmarshal(r.Body, &cr) != nil {
-			continue
-		}
-		if cr.LibFP != wantFP || cr.OptHash != wantOH {
-			continue // computed against a different library/options
-		}
-		for k, v := range cr.Solutions {
-			union[k] = v
-		}
-	}
-	runCtx, cancel := context.WithTimeout(ctx, rr.timeout)
-	defer cancel()
-	opts := rr.opts
-	opts.Ctx = runCtx
-	start := time.Now()
-	res, err := core.MapDelta(core.NewSolutionSeed(wantFP, wantOH, union), rr.net, rr.lib, opts)
-	elapsed := time.Since(start)
-	s.reqSeconds.Observe(elapsed.Seconds())
-	if err != nil {
-		return nil, err
-	}
-	return s.finishMapped(rr, res, elapsed)
-}
-
 // fleetHeader propagates the coordinator's request ID to the workers, so
 // one batch correlates across every access log and trace in the fleet.
 func fleetHeader(rid string) http.Header {
@@ -278,69 +165,4 @@ func fleetHeader(rid string) http.Header {
 		h.Set(RequestIDHeader, rid)
 	}
 	return h
-}
-
-// handleMapCones is the worker-side shard endpoint: validate exactly like
-// /map, run the pipeline front half for the requested shard, return the
-// encoded solutions. Registered unconditionally — any asyncmapd can serve
-// in a fleet without special configuration.
-func (s *Server) handleMapCones(w http.ResponseWriter, r *http.Request) {
-	rid := RequestIDFromContext(r.Context())
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, rid, errors.New("POST only"))
-		return
-	}
-	s.requests.Inc()
-	var creq ConeShardRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&creq); err != nil {
-		s.errorsC.Inc()
-		writeError(w, http.StatusBadRequest, rid, fmt.Errorf("bad cone request: %w", err))
-		return
-	}
-	release, err := s.acquire(r.Context())
-	if err != nil {
-		s.errorsC.Inc()
-		if errors.Is(err, errBusy) {
-			s.rejected.Inc()
-			s.writeBusy(w, rid, err)
-		} else {
-			writeError(w, 499, rid, err)
-		}
-		return
-	}
-	defer release()
-	resp, err := s.coneShard(r.Context(), creq)
-	if err != nil {
-		s.errorsC.Inc()
-		writeError(w, s.statusFor(err), rid, err)
-		return
-	}
-	resp.RequestID = rid
-	writeJSON(w, resp)
-}
-
-func (s *Server) coneShard(ctx context.Context, creq ConeShardRequest) (*ConeShardResponse, error) {
-	if creq.ShardCount < 1 || creq.ShardIndex < 0 || creq.ShardIndex >= creq.ShardCount {
-		return nil, badInput(fmt.Errorf("shard %d of %d out of range", creq.ShardIndex, creq.ShardCount))
-	}
-	rr, err := s.resolveRequest(ctx, creq.MapRequest)
-	if err != nil {
-		return nil, err
-	}
-	runCtx, cancel := context.WithTimeout(ctx, rr.timeout)
-	defer cancel()
-	start := time.Now()
-	cs, err := core.MapCones(runCtx, rr.net, rr.lib, rr.opts, creq.ShardIndex, creq.ShardCount)
-	if err != nil {
-		return nil, err
-	}
-	return &ConeShardResponse{
-		LibFP:     cs.LibFP,
-		OptHash:   cs.OptHash,
-		Cones:     cs.Cones,
-		Solved:    cs.Solved,
-		Solutions: cs.Solutions,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}, nil
 }

@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,10 +159,24 @@ func testBatch() BatchRequest {
 	}
 }
 
-// TestFleetBatchByteIdentity: the tentpole determinism bar on a healthy
-// fleet — buffered and streamed, design-wise and cone-wise, all
-// byte-identical to the single-process twin.
+// TestFleetBatchByteIdentity: the determinism bar on a healthy fleet —
+// buffered, streamed and single-design batches, all byte-identical to the
+// single-process twin.
 func TestFleetBatchByteIdentity(t *testing.T) {
+	// Workers that record every request path, for the single-design case.
+	var (
+		mu    sync.Mutex
+		paths []string
+	)
+	record := func(_ int64, _ http.ResponseWriter, r *http.Request) bool {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		return false
+	}
+	w0, _ := wrapWorker(t, record)
+	w1, _ := wrapWorker(t, record)
+	coord, twin := fleetOverWorkers(t, -1, w0.URL, w1.URL)
 	defer fleetGuard(t)()
 	f, err := StartInProcessFleet(2, Config{Libraries: []string{"LSI9K", "CMOS3"}})
 	if err != nil {
@@ -178,13 +193,17 @@ func TestFleetBatchByteIdentity(t *testing.T) {
 	streamed := decodeStream(t, postBatch(t, f.CoordinatorURL, batch, true), n)
 	requireSameOutcomes(t, "streamed", streamed, local)
 
-	// Cone-wise: a single-design batch on a 2-worker fleet splits the
-	// covering DP across both workers and assembles locally.
+	// A single-design batch on a 2-worker fleet is one /map job like any
+	// other: it reaches the workers as exactly one /map request.
 	single := BatchRequest{Defaults: batch.Defaults,
 		Designs: []MapRequest{{Name: "single", Design: slowEqn(4)}}}
-	localOne := decodeBatch(t, postBatch(t, f.LocalURL, single, false))
-	fleetOne := decodeBatch(t, postBatch(t, f.CoordinatorURL, single, false))
-	requireSameOutcomes(t, "cone-sharded", fleetOne, localOne)
+	requireSameOutcomes(t, "single-design",
+		batchViaHandler(t, coord, single), batchViaHandler(t, twin, single))
+	mu.Lock()
+	if len(paths) != 1 || paths[0] != "/map" {
+		t.Errorf("single-design batch reached the workers as %q, want one /map request", paths)
+	}
+	mu.Unlock()
 
 	// Fleet health is on the coordinator's /statusz.
 	resp, err := http.Get(f.CoordinatorURL + "/statusz")
@@ -267,22 +286,26 @@ func TestFleetWorkerKilledMidBatch(t *testing.T) {
 		batchViaHandler(t, coord, batch), batchViaHandler(t, local, batch))
 }
 
-// TestFleetConeShardLost: cone-wise dispatch with one worker aborting
-// every /map/cones call — the lost shard's cones are solved during
-// assembly and the netlist still matches local byte-for-byte.
-func TestFleetConeShardLost(t *testing.T) {
+// TestFleetSingleDesignWorkerLost: a single-design batch with one worker
+// aborting every request — the job retries on the healthy worker and the
+// netlist still matches local byte-for-byte, whichever worker is tried
+// first.
+func TestFleetSingleDesignWorkerLost(t *testing.T) {
 	dead, _ := wrapWorker(t, func(n int64, w http.ResponseWriter, r *http.Request) bool {
 		panic(http.ErrAbortHandler)
 	})
 	healthy, _ := wrapWorker(t, func(int64, http.ResponseWriter, *http.Request) bool { return false })
-	coord, local := fleetOverWorkers(t, -1, dead.URL, healthy.URL)
+	deadFirst, local := fleetOverWorkers(t, -1, dead.URL, healthy.URL)
+	healthyFirst, _ := fleetOverWorkers(t, -1, healthy.URL, dead.URL)
 	defer fleetGuard(t)()
 	single := BatchRequest{
 		Defaults: MapRequest{Format: "eqn", Library: "LSI9K"},
 		Designs:  []MapRequest{{Name: "single", Design: slowEqn(4)}},
 	}
-	requireSameOutcomes(t, "cone-shard-lost",
-		batchViaHandler(t, coord, single), batchViaHandler(t, local, single))
+	want := batchViaHandler(t, local, single)
+	for label, coord := range map[string]*Server{"dead-first": deadFirst, "healthy-first": healthyFirst} {
+		requireSameOutcomes(t, label, batchViaHandler(t, coord, single), want)
+	}
 }
 
 // TestFleetHedgesStraggler: the first request into the fleet stalls well
@@ -342,34 +365,6 @@ func TestFleetCorruptBody(t *testing.T) {
 	batch := testBatch()
 	requireSameOutcomes(t, "corrupt-body",
 		batchViaHandler(t, coord, batch), batchViaHandler(t, local, batch))
-}
-
-// TestConeShardEndpoint: the worker-side /map/cones contract — identity
-// pair present, shard bounds enforced, solutions decodable.
-func TestConeShardEndpoint(t *testing.T) {
-	s := newTestServer(t, Config{})
-	req := ConeShardRequest{
-		MapRequest: MapRequest{Format: "eqn", Library: "LSI9K", Design: slowEqn(3)},
-		ShardIndex: 0, ShardCount: 2,
-	}
-	w := postJSON(t, s.Handler(), "/map/cones", req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	var resp ConeShardResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.LibFP == "" || resp.OptHash == "" || resp.Cones == 0 || resp.Solved == 0 {
-		t.Fatalf("incomplete cone response: %+v", resp)
-	}
-	if len(resp.Solutions) == 0 {
-		t.Fatal("no solutions returned")
-	}
-	req.ShardIndex = 5
-	if w := postJSON(t, s.Handler(), "/map/cones", req); w.Code != http.StatusBadRequest {
-		t.Fatalf("out-of-range shard: status %d, want 400", w.Code)
-	}
 }
 
 // TestRetryAfterComputedFromLoad: the 503 hint is queue depth × rolling

@@ -95,10 +95,9 @@ func (f *InProcessFleet) serve(cfg Config) (*Server, string, error) {
 
 // MapBoth posts the same single-design batch to the coordinator and to
 // the local twin and returns both outcomes. This is the fleet diffcheck
-// axis's primitive: a one-design batch on a multi-worker fleet takes the
-// cone-sharded path, so MapBoth exercises shard dispatch, hedging and
-// failure recovery end to end, and the two results must agree
-// byte-for-byte.
+// axis's primitive: the coordinator dispatches the design as one /map
+// job, so MapBoth exercises job dispatch, hedging and failure recovery
+// end to end, and the two results must agree byte-for-byte.
 func (f *InProcessFleet) MapBoth(req MapRequest) (viaFleet, viaLocal BatchResult, err error) {
 	if viaFleet, err = postOneBatch(f.CoordinatorURL, req); err != nil {
 		return

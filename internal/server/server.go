@@ -91,15 +91,15 @@ type Config struct {
 	StatusWindow time.Duration
 	// FleetWorkers lists worker asyncmapd base URLs. Non-empty switches
 	// this server into coordinator mode: /map/batch work is dispatched
-	// across the fleet (design-wise; cone-wise for a single-design batch)
-	// with hedged retries, and assembled locally to the byte-identical
-	// netlist a single process would produce. Workers are plain asyncmapd
-	// instances — nothing fleet-specific runs on them.
+	// across the fleet, one /map job per design, with hedged retries, and
+	// every result is the byte-identical netlist a single process would
+	// produce. Workers are plain asyncmapd instances — nothing
+	// fleet-specific runs on them.
 	FleetWorkers []string
-	// FleetHedgeAfter is the straggler threshold before a shard is hedged
+	// FleetHedgeAfter is the straggler threshold before a job is hedged
 	// onto another worker; 0 means 2s, negative disables hedging.
 	FleetHedgeAfter time.Duration
-	// FleetMaxAttempts bounds remote attempts per shard before the
+	// FleetMaxAttempts bounds remote attempts per job before the
 	// coordinator falls back to mapping locally; 0 means 3.
 	FleetMaxAttempts int
 	// FleetPerWorker is the number of concurrent requests per worker;
@@ -232,7 +232,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/map", s.instrument(s.protect(s.handleMap)))
 	s.mux.HandleFunc("/synth", s.instrument(s.protect(s.handleSynth)))
 	s.mux.HandleFunc("/map/batch", s.instrument(s.protect(s.handleBatch)))
-	s.mux.HandleFunc("/map/cones", s.instrument(s.protect(s.handleMapCones)))
 	s.mux.HandleFunc("/healthz", s.instrument(s.protect(s.handleHealthz)))
 	s.mux.HandleFunc("/metrics", s.instrument(s.protect(s.handleMetrics)))
 	s.mux.HandleFunc("/statusz", s.instrument(s.protect(s.handleStatusz)))
@@ -581,7 +580,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One admission slot covers the whole batch: designs run serially,
 	// each under its own deadline, so a batch cannot starve single
 	// requests of more than one worker slot. In fleet mode the slot covers
-	// coordination and assembly; the workers apply their own admission.
+	// coordination and local fallbacks; the workers apply their own
+	// admission.
 	release, err := s.acquire(r.Context())
 	if err != nil {
 		s.errorsC.Inc()
@@ -869,9 +869,7 @@ func (s *Server) timeoutFor(req MapRequest) time.Duration {
 }
 
 // resolvedRequest is a MapRequest after parsing and validation: the
-// design network, library and core options a mapping (or cone-shard) run
-// needs. Shared by mapOne, the /map/cones worker endpoint and the fleet
-// coordinator's assembly path so all three validate identically.
+// design network, library and core options a mapping run needs.
 type resolvedRequest struct {
 	libName string
 	lib     *library.Library
@@ -976,13 +974,6 @@ func (s *Server) mapOne(ctx context.Context, req MapRequest) (*MapResponse, erro
 	if err != nil {
 		return nil, err
 	}
-	return s.finishMapped(rr, res, elapsed)
-}
-
-// finishMapped turns a successful mapping into the wire response and
-// feeds the per-stage observability windows — the shared back half of
-// mapOne and the fleet coordinator's assembly.
-func (s *Server) finishMapped(rr *resolvedRequest, res *core.Result, elapsed time.Duration) (*MapResponse, error) {
 	s.designs.Inc()
 	s.roll.decompose.Observe(res.Stats.DecomposeTime.Seconds())
 	s.roll.partition.Observe(res.Stats.PartitionTime.Seconds())
