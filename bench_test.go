@@ -19,7 +19,6 @@ import (
 	"gfmap/internal/bexpr"
 	"gfmap/internal/core"
 	"gfmap/internal/hazard"
-	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
 )
 
@@ -111,8 +110,7 @@ func BenchmarkTable5Benchmarks(b *testing.B) {
 
 // BenchmarkParallelMapping measures the covering DP's worker scaling on
 // the largest benchmark (dean-ctrl on Actel, the hazard-heaviest library):
-// serial, half the CPUs, and one worker per CPU, all through a cold private
-// hazard cache per iteration so runs are comparable.
+// serial, half the CPUs, and one worker per CPU.
 func BenchmarkParallelMapping(b *testing.B) {
 	d, err := bench.DesignByName("dean-ctrl")
 	if err != nil {
@@ -127,7 +125,7 @@ func BenchmarkParallelMapping(b *testing.B) {
 		seen[workers] = true
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := core.Options{Workers: workers, HazardCache: hazcache.New(0)}
+				opts := core.Options{Workers: workers}
 				if _, err := core.AsyncTmap(d.Net, lib, opts); err != nil {
 					b.Fatal(err)
 				}
@@ -167,7 +165,7 @@ func BenchmarkMapMatchIndex(b *testing.B) {
 						}
 						b.StartTimer()
 					}
-					opts := core.Options{Mode: core.Async, Workers: 1, HazardCache: hazcache.New(0)}
+					opts := core.Options{Mode: core.Async, Workers: 1}
 					res, err := core.Map(d.Net, lib, opts)
 					if err != nil {
 						b.Fatal(err)
@@ -180,45 +178,6 @@ func BenchmarkMapMatchIndex(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkHazardCacheEffect isolates the shared cache: the same mapping
-// with the cross-cone cache disabled (per-cone memo only), cold, and warm.
-func BenchmarkHazardCacheEffect(b *testing.B) {
-	d, err := bench.DesignByName("abcs")
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := library.MustGet("Actel")
-	b.Run("disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := core.Options{Workers: 1, DisableHazardCache: true}
-			if _, err := core.AsyncTmap(d.Net, lib, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := core.Options{Workers: 1, HazardCache: hazcache.New(0)}
-			if _, err := core.AsyncTmap(d.Net, lib, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := hazcache.New(0)
-		opts := core.Options{Workers: 1, HazardCache: cache}
-		if _, err := core.AsyncTmap(d.Net, lib, opts); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AsyncTmap(d.Net, lib, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkHazardAnalysisSuite measures the §4 algorithms on the canonical

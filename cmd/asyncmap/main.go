@@ -37,9 +37,9 @@
 // whole pipeline (load it at https://ui.perfetto.dev — one track per DP
 // worker), -events writes the same records as grep/jq-friendly JSONL,
 // -hist prints metric histograms (hazard-analysis latency, cuts per
-// node, cluster leaf widths, cache shard occupancy), and -pprof serves
-// net/http/pprof on the given address for live CPU/heap profiling with
-// per-worker and per-cone labels. See docs/OBSERVABILITY.md.
+// node, cluster leaf widths), and -pprof serves net/http/pprof on the
+// given address for live CPU/heap profiling with per-worker and per-cone
+// labels. See docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -79,7 +79,6 @@ func main() {
 	format := flag.String("o", "netlist", "output format: netlist or verilog")
 	showPath := flag.Bool("path", false, "print the critical path")
 	statsFmt := flag.String("stats", "text", "statistics format: text or json (json goes to stderr when the netlist is on stdout)")
-	noCache := flag.Bool("nocache", false, "disable the shared hazard-analysis cache (A/B measurement)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the pipeline (open in Perfetto)")
 	eventsOut := flag.String("events", "", "write the span/event log as JSONL to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) and label DP workers")
@@ -100,7 +99,7 @@ func main() {
 		fatal(err)
 	}
 	opts := core.Options{MaxDepth: *depth, MaxLeaves: *leaves, Workers: *workers,
-		MaxBurst: *maxBurst, DisableHazardCache: *noCache}
+		MaxBurst: *maxBurst}
 	switch *objective {
 	case "area":
 		opts.Objective = core.MinArea
@@ -330,9 +329,8 @@ func printStatsText(mode, libName string, res *core.Result) {
 		st.HazardousMatches, st.MatchesRejected)
 	fmt.Printf("# matching: finds=%d index probes=%d cells skipped=%d symmetry pruned=%d\n",
 		st.FindInvocations, st.IndexProbes, st.IndexSkippedCells, st.SymmetryPruned)
-	fmt.Printf("# hazard analyses=%d cache: local=%d shared=%d fresh=%d hit-rate=%.1f%% evictions=%d\n",
-		st.HazardAnalyses(), st.HazCacheLocalHits, st.HazCacheHits,
-		st.HazCacheMisses, 100*st.HazCacheHitRate(), st.HazCacheEvictions)
+	fmt.Printf("# hazard analyses=%d cache: local=%d fresh=%d hit-rate=%.1f%%\n",
+		st.HazardAnalyses(), st.HazCacheLocalHits, st.HazCacheMisses, 100*st.HazCacheHitRate())
 	if st.StoreHits+st.StoreMisses > 0 {
 		fmt.Printf("# store: hits=%d misses=%d (cones whose covering DP was replayed from the store)\n",
 			st.StoreHits, st.StoreMisses)

@@ -1,17 +1,19 @@
 // Command benchgate is the CI perf-regression gate. It compares a fresh
 // benchmark report against the newest checked-in trajectory file
-// (benchdata/BENCH_*.json) and exits nonzero when wall time, allocation
-// counts or mapping quality regressed past the thresholds.
+// (benchdata/BENCH_*.json) and exits nonzero when a design's work
+// counters (core.Stats.Deterministic()) differ from the baseline's, or
+// when wall time, allocation counts or mapping quality regressed past the
+// thresholds.
 //
 // Usage:
 //
 //	benchgate [-baseline DIR] [-fresh FILE] [-lib NAME] [-runs N] [flags]
 //
 // With -fresh empty, benchgate runs the benchmark corpus itself (the
-// same corpus paperbench -json produces). Quality and allocation gates
-// always apply; the wall-time gate only runs when the baseline's
-// environment fingerprint (platform and CPU count) matches, so a
-// baseline recorded on different hardware cannot flake the build.
+// same corpus paperbench -json produces). The counter, quality and
+// allocation gates always apply; the wall-time gate only runs when the
+// baseline's environment fingerprint (platform and CPU count) matches, so
+// a baseline recorded on different hardware cannot flake the build.
 // Exit status: 0 gate passed, 1 regressions found, 2 operational error.
 package main
 

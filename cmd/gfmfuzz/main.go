@@ -1,7 +1,7 @@
 // Command gfmfuzz is the differential fuzzing driver for the mapping
 // pipeline: it generates seeded random networks, maps each across the
-// full option matrix (cache on/off, worker counts, context on/off, store
-// cold/warm) in both modes, and asserts the pipeline's
+// full option matrix (worker counts, hazard cache none/cold/warm, context
+// on/off, store cold/warm) in both modes, and asserts the pipeline's
 // invariants — byte-identical netlists, deterministic stats, well-formed
 // netlists, functional equivalence, hazard non-introduction, parser round
 // trips.

@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	only := flag.String("table", "", "regenerate only one table (1-5, or \"cache\" for the cache study); default all")
+	only := flag.String("table", "", "regenerate only one table (1-5); default all")
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
 	figures := flag.Bool("figures", false, "also regenerate the conceptual figures")
 	jsonOut := flag.String("json", "", "write a fingerprinted JSON benchmark report to this file (\"-\" for stdout) instead of the text tables")
@@ -90,13 +90,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(bench.FormatTable5(rows))
-	}
-	if want("cache") {
-		rows, err := bench.CacheTable()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatCacheTable(rows))
 	}
 	if *figures {
 		text, err := bench.Figures()

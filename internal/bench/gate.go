@@ -2,17 +2,22 @@ package bench
 
 // The benchmark regression gate: compares a fresh report against the
 // newest checked-in trajectory file (benchdata/BENCH_*.json) and flags
-// designs whose wall time, allocation count or mapping quality regressed
-// past the thresholds. Quality (area/delay/gates) and allocation counts
-// are deterministic, so they gate unconditionally; wall time is gated
-// only between reports whose environment fingerprints are comparable —
-// a baseline recorded on different hardware says nothing about speed.
+// designs whose work counters changed, or whose wall time, allocation
+// count or mapping quality regressed past the thresholds. The counters of
+// core.Stats.Deterministic() are the same on every machine and at every
+// worker count, so they gate by exact equality: a change that does more
+// or less work updates the baseline in the same diff. Quality
+// (area/delay/gates) and allocation counts are deterministic too, so they
+// gate unconditionally; wall time is gated only between reports whose
+// environment fingerprints are comparable — a baseline recorded on
+// different hardware says nothing about speed.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -55,10 +60,11 @@ func (t GateThresholds) withDefaults() GateThresholds {
 }
 
 // Regression is one gated metric that got worse than its threshold
-// allows on one design.
+// allows on one design, or one work counter that changed. Counters carry
+// a zero Ratio and Limit: any difference fails.
 type Regression struct {
 	Design string  `json:"design"`
-	Metric string  `json:"metric"` // "wall_ms", "allocs_per_op", "area", "delay"
+	Metric string  `json:"metric"` // "wall_ms", "allocs_per_op", "area", "delay" or "stats.<counter>"
 	Base   float64 `json:"base"`
 	Fresh  float64 `json:"fresh"`
 	Ratio  float64 `json:"ratio"`
@@ -66,6 +72,9 @@ type Regression struct {
 }
 
 func (r Regression) String() string {
+	if r.Limit == 0 {
+		return fmt.Sprintf("%s: %s %.0f -> %.0f (must be equal)", r.Design, r.Metric, r.Base, r.Fresh)
+	}
 	return fmt.Sprintf("%s: %s %.4g -> %.4g (%.2fx, limit %.2fx)",
 		r.Design, r.Metric, r.Base, r.Fresh, r.Ratio, r.Limit)
 }
@@ -121,6 +130,15 @@ func CompareReports(base, fresh *Report, th GateThresholds) ([]Regression, []str
 					Design: f.Design, Metric: metric,
 					Base: bv, Fresh: fv, Ratio: ratio, Limit: limit,
 				})
+			}
+		}
+		if bs, fs := b.Stats.Deterministic(), f.Stats.Deterministic(); bs != fs {
+			bv, fv := reflect.ValueOf(bs), reflect.ValueOf(fs)
+			for i := 0; i < bv.NumField(); i++ {
+				if x, y := bv.Field(i).Int(), fv.Field(i).Int(); x != y {
+					regs = append(regs, Regression{Design: f.Design,
+						Metric: "stats." + bv.Type().Field(i).Name, Base: float64(x), Fresh: float64(y)})
+				}
 			}
 		}
 		check("area", b.Area, f.Area, th.MaxAreaRatio)

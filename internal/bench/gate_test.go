@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"gfmap/internal/core"
 )
 
 func fakeReport(lib string, designs ...DesignReport) *Report {
@@ -60,6 +63,25 @@ func TestCompareReportsCatchesRegressions(t *testing.T) {
 	}
 	if r := findReg(regs, "a", "wall_ms"); r != nil && (r.Ratio < 2.9 || r.Limit != 1.5) {
 		t.Errorf("wall regression ratio/limit wrong: %+v", *r)
+	}
+}
+
+// The deterministic work counters gate by exact equality, whatever the
+// thresholds: one extra hazard check fails the gate. Counters outside
+// Stats.Deterministic() (cache hits, phase times) are not gated.
+func TestCompareReportsGatesWorkCounters(t *testing.T) {
+	st := core.Stats{Cones: 3, ClustersEnumerated: 40, HazardChecks: 7, HazCacheHits: 2, CoverTime: time.Millisecond}
+	base := fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: st})
+	noisy := st
+	noisy.HazCacheHits, noisy.HazCacheMisses, noisy.CoverTime = 0, 9, time.Second
+	if regs, _ := CompareReports(base, fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: noisy}), GateThresholds{}); len(regs) != 0 {
+		t.Errorf("non-deterministic counters gated: %v", regs)
+	}
+	extra := st
+	extra.HazardChecks++
+	regs, _ := CompareReports(base, fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: extra}), GateThresholds{})
+	if r := findReg(regs, "a", "stats.HazardChecks"); len(regs) != 1 || r == nil || r.Base != 7 || r.Fresh != 8 {
+		t.Errorf("one extra hazard check: regressions %v", regs)
 	}
 }
 

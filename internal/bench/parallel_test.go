@@ -10,10 +10,11 @@ import (
 )
 
 // TestParallelSharedCacheStress maps benchmark designs with many workers
-// through one shared hazard-analysis cache, from two goroutines at once
-// (run under -race in CI). Every run must reproduce the serial,
-// cache-disabled reference bit for bit, and on the hazard-exercising
-// library every multi-cone design must see a nonzero cache hit rate.
+// through one private hazard-analysis cache, from two goroutines at once
+// (run under -race in CI), as an in-process fleet's servers share one.
+// Every run must reproduce the serial, cache-less reference bit for bit,
+// and on the hazard-exercising library every multi-cone design must see a
+// nonzero cache hit rate.
 func TestParallelSharedCacheStress(t *testing.T) {
 	ds, err := Designs()
 	if err != nil {
@@ -28,7 +29,7 @@ func TestParallelSharedCacheStress(t *testing.T) {
 	}
 	cache := hazcache.New(0)
 	for _, d := range ds {
-		ref, err := core.AsyncTmap(d.Net, lib, core.Options{Workers: 1, DisableHazardCache: true})
+		ref, err := core.AsyncTmap(d.Net, lib, core.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", d.Name, err)
 		}
@@ -49,7 +50,7 @@ func TestParallelSharedCacheStress(t *testing.T) {
 				t.Fatalf("%s: run %d: %v", d.Name, i, errs[i])
 			}
 			if res.Netlist.String() != ref.Netlist.String() {
-				t.Errorf("%s: run %d netlist differs from serial cache-disabled reference", d.Name, i)
+				t.Errorf("%s: run %d netlist differs from the serial cache-less reference", d.Name, i)
 			}
 			if got, want := res.Stats.Deterministic(), ref.Stats.Deterministic(); got != want {
 				t.Errorf("%s: run %d deterministic stats differ:\n got %+v\nwant %+v", d.Name, i, got, want)
@@ -61,6 +62,6 @@ func TestParallelSharedCacheStress(t *testing.T) {
 		}
 	}
 	if st := cache.Stats(); st.Hits == 0 {
-		t.Errorf("stress run never hit the shared cache: %+v", st)
+		t.Errorf("stress run never hit the cache: %+v", st)
 	}
 }

@@ -76,7 +76,7 @@ type DesignReport struct {
 	// the mapping call. Counts are process-wide, so runs execute serially.
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	BytesPerOp  uint64 `json:"bytes_per_op"`
-	// HazCacheHitRate is (local + shared hits) / all analyses for this
+	// HazCacheHitRate is (memo + cache hits) / all analyses for this
 	// design's run; StoreHitRate is store hits / cone lookups (0 without
 	// a store). Both come from the run's own core.Stats.
 	HazCacheHitRate float64 `json:"hazcache_hit_rate"`

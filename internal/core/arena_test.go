@@ -14,18 +14,17 @@ import (
 	"testing"
 
 	"gfmap/internal/hazard"
-	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
 	"gfmap/internal/mapstore"
 	"gfmap/internal/network"
 )
 
 // arenaTestMapper is newTestMapper for src mapped asynchronously on
-// LSI9K with a private hazard cache.
+// LSI9K.
 func arenaTestMapper(t testing.TB, src string, scratch bool) (*mapper, []network.Cone) {
 	t.Helper()
 	return newTestMapper(t, parseNet(t, src, "arena"), library.MustGet("LSI9K"),
-		Options{Mode: Async, Workers: 1, HazardCache: hazcache.New(0)}, scratch)
+		Options{Mode: Async, Workers: 1}, scratch)
 }
 
 // newTestMapper decomposes and partitions net and returns a mapper set up

@@ -115,16 +115,13 @@ type Options struct {
 	// flip more than MaxBurst of the subnetwork's inputs. Zero means no
 	// don't-cares: every transition counts.
 	MaxBurst int
-	// HazardCache selects the cross-cone hazard-analysis cache consulted
-	// by the asynchronous matching filter. Nil means the process-wide
-	// shared cache (hazcache.Shared()); supply a private cache to isolate
-	// a run. The cache is semantically transparent — mapped netlists are
-	// bit-identical with the cache on, off, warm or cold.
+	// HazardCache, when non-nil, is a cross-cone hazard-analysis cache
+	// the asynchronous matching filter consults after its per-cone memo;
+	// runs that pass the same cache share its analyses. Nil (the default)
+	// means no shared cache: what the per-cone memo misses is analysed
+	// fresh. The cache is semantically transparent — mapped netlists are
+	// bit-identical with a cache or without one, warm or cold.
 	HazardCache *hazcache.Cache
-	// DisableHazardCache turns the cross-cone cache off entirely; hazard
-	// analyses are then memoised per cone only. Intended for A/B
-	// measurement, not for production use.
-	DisableHazardCache bool
 
 	// Store, when non-nil, memoizes per-cone covering solutions in a
 	// content-addressed mapstore keyed by canonical cone signature ×
@@ -177,11 +174,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.DisableHazardCache {
-		o.HazardCache = nil
-	} else if o.HazardCache == nil {
-		o.HazardCache = hazcache.Shared()
-	}
 	return o
 }
 
@@ -190,7 +182,7 @@ func (o Options) withDefaults() Options {
 const (
 	// MetricHazardSeconds is the latency histogram of individual hazard
 	// analyses performed by the matching filter (fresh analyses and
-	// shared-cache lookups; per-cone memo hits are not timed).
+	// Options.HazardCache lookups; per-cone memo hits are not timed).
 	MetricHazardSeconds = "map_hazard_analyze_seconds"
 	// MetricConeSeconds is the per-cone covering-DP latency histogram.
 	MetricConeSeconds = "map_cone_seconds"
@@ -223,9 +215,8 @@ func newMetricSet(r *obs.Registry) metricSet {
 
 // Stats counts the work done during a mapping run and the wall-clock time
 // spent in each phase of the pipeline. Stats is the frozen, deterministic
-// run summary; richer distributions (latency histograms, per-shard cache
-// state) are published through Options.Metrics instead of growing this
-// struct.
+// run summary; richer distributions (latency histograms) are published
+// through Options.Metrics instead of growing this struct.
 type Stats struct {
 	Cones              int
 	ClustersEnumerated int
@@ -252,18 +243,16 @@ type Stats struct {
 	SymmetryPruned    int
 
 	// Hazard-analysis accounting for the matching filter: analyses served
-	// by the per-cone memo, by the shared cross-cone cache, and performed
-	// fresh. LocalHits is deterministic; the split between shared hits and
-	// misses depends on cache warmth and worker scheduling (their sum does
-	// not). Shared hits and misses count only lookups actually made: a cone
-	// replayed from the store, or sharing the cover of an equal cone, adds
-	// its memo hits but no lookups.
+	// by the per-cone memo, by Options.HazardCache, and performed fresh.
+	// LocalHits is deterministic; the split between cache hits and misses
+	// depends on cache warmth and worker scheduling (their sum does not).
+	// Without a cache every analysis past the memo is a miss. Hits and
+	// misses count only analyses actually made: a cone replayed from the
+	// store, or sharing the cover of an equal cone, adds its memo hits but
+	// no analyses.
 	HazCacheLocalHits int
 	HazCacheHits      int
 	HazCacheMisses    int
-	// HazCacheEvictions is the number of shared-cache entries evicted
-	// while this run was in flight (approximate under concurrent runs).
-	HazCacheEvictions int
 
 	// Mapstore accounting: cones whose covering solution was served by
 	// Options.Store (hits) versus solved by the DP (misses). A cone that
@@ -309,7 +298,6 @@ func (s *Stats) merge(o Stats) {
 func (s Stats) Deterministic() Stats {
 	s.HazCacheHits = 0
 	s.HazCacheMisses = 0
-	s.HazCacheEvictions = 0
 	s.StoreHits = 0
 	s.StoreMisses = 0
 	s.DecomposeTime = 0
@@ -326,7 +314,8 @@ func (s Stats) HazardAnalyses() int {
 }
 
 // HazCacheHitRate returns the fraction of hazard-analysis requests served
-// by a cache (per-cone memo or shared), in [0, 1]; 0 when none were made.
+// by a cache (per-cone memo or Options.HazardCache), in [0, 1]; 0 when
+// none were made.
 func (s Stats) HazCacheHitRate() float64 {
 	total := s.HazardAnalyses()
 	if total == 0 {
@@ -387,10 +376,6 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options) (*Res
 		if err := lib.Annotate(); err != nil {
 			return nil, err
 		}
-	}
-	var evictions0 uint64
-	if opts.HazardCache != nil {
-		evictions0 = opts.HazardCache.Stats().Evictions
 	}
 	tr := opts.Tracer
 	// stamp correlates a phase span with the service request that owns
@@ -487,9 +472,6 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options) (*Res
 	m.stats.EmitTime = time.Since(phase)
 	m.stats.DecomposeTime = decomposeTime
 	m.stats.PartitionTime = partitionTime
-	if opts.HazardCache != nil {
-		m.stats.HazCacheEvictions = int(opts.HazardCache.Stats().Evictions - evictions0)
-	}
 	m.stats.Cones = len(cones)
 	area := nl.Area()
 	delay, err := nl.Delay()
@@ -499,7 +481,6 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options) (*Res
 	tr.EventInt(obs.PipelineTrack, "mapped", "gates", int64(nl.GateCount()))
 	if reg := opts.Metrics; reg != nil {
 		publishStats(reg, m.stats, nl.GateCount(), area, delay)
-		opts.HazardCache.ExportMetrics(reg)
 		m.store.ExportMetrics(reg)
 	}
 	releaseScratch(m.sc)

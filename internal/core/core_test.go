@@ -280,14 +280,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers != runtime.NumCPU() {
 		t.Errorf("Workers zero value should default to NumCPU (%d), got %d", runtime.NumCPU(), o.Workers)
 	}
-	if o.HazardCache != hazcache.Shared() {
-		t.Error("nil HazardCache should default to the shared cache")
+	if o.HazardCache != nil {
+		t.Error("nil HazardCache must stay nil: no shared cache by default")
 	}
 	if o := (Options{Workers: 1}).withDefaults(); o.Workers != 1 {
 		t.Errorf("Workers: 1 must stay serial, got %d", o.Workers)
-	}
-	if o := (Options{DisableHazardCache: true}).withDefaults(); o.HazardCache != nil {
-		t.Error("DisableHazardCache must clear the cache")
 	}
 }
 
@@ -515,7 +512,7 @@ f = a*b + a'*c + b*c;
 
 // TestParallelMappingDeterministic: the parallel DP produces a netlist
 // bit-identical to the serial run, with identical hazard-check
-// statistics, whether the hazard cache is shared, private, warm or off.
+// statistics, with a private hazard cache or without one.
 func TestParallelMappingDeterministic(t *testing.T) {
 	src := `
 INPUT(a, b, c, d, e, f)
@@ -544,26 +541,19 @@ z = (u*e)' + d*f;
 	if got, want := serial.Stats.HazardAnalyses(), parallel.Stats.HazardAnalyses(); got != want {
 		t.Errorf("hazard-analysis totals differ: %d vs %d", got, want)
 	}
-	// A private cold cache and no cache at all must both reproduce the
-	// shared-cache result exactly.
+	// A private cold cache must reproduce the cache-less result exactly.
 	private, err := Map(net, lib, Options{Mode: Async, Workers: 8, HazardCache: hazcache.New(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := Map(net, lib, Options{Mode: Async, Workers: 8, DisableHazardCache: true})
-	if err != nil {
-		t.Fatal(err)
+	if private.Netlist.String() != serial.Netlist.String() {
+		t.Errorf("private-cache netlist differs from serial:\n%s\nvs\n%s", private.Netlist, serial.Netlist)
 	}
-	for what, res := range map[string]*Result{"private cache": private, "no cache": uncached} {
-		if res.Netlist.String() != serial.Netlist.String() {
-			t.Errorf("%s netlist differs from serial:\n%s\nvs\n%s", what, res.Netlist, serial.Netlist)
-		}
-		if res.Stats.Deterministic() != serial.Stats.Deterministic() {
-			t.Errorf("%s stats differ: %+v vs %+v", what, res.Stats, serial.Stats)
-		}
+	if private.Stats.Deterministic() != serial.Stats.Deterministic() {
+		t.Errorf("private-cache stats differ: %+v vs %+v", private.Stats, serial.Stats)
 	}
-	if uncached.Stats.HazCacheHits != 0 {
-		t.Errorf("cache-disabled run reported shared hits: %+v", uncached.Stats)
+	if serial.Stats.HazCacheHits != 0 || parallel.Stats.HazCacheHits != 0 {
+		t.Errorf("cache-less runs reported cache hits: %+v, %+v", serial.Stats, parallel.Stats)
 	}
 }
 

@@ -10,15 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
 	"gfmap/internal/mapstore"
 	"gfmap/internal/network"
 )
 
 // bigCtxSrc builds a design with n structurally similar cones, large
-// enough that mapping reliably outlives a few-millisecond deadline (each
-// cone needs dozens of hazard analyses when the shared cache is off).
+// enough that mapping reliably outlives a few-millisecond deadline.
 func bigCtxSrc(n int) string {
 	var b strings.Builder
 	b.WriteString("INPUT(a,b,c,d,e,g,h,i)\nOUTPUT(")
@@ -80,7 +78,6 @@ func TestMapContextMidRunCancel(t *testing.T) {
 		start := time.Now()
 		res, err := Map(net, lib, Options{
 			Mode: Async, Workers: workers, Ctx: ctx,
-			HazardCache: hazcache.New(0), // cold private cache: keep the run slow
 		})
 		elapsed := time.Since(start)
 		cancel()
@@ -113,7 +110,7 @@ func TestMapContextDeadline(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	_, err := Map(net, lib, Options{
-		Mode: Async, Ctx: ctx, HazardCache: hazcache.New(0),
+		Mode: Async, Ctx: ctx,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -165,8 +162,7 @@ func TestMapContextCancelLeavesPoolClean(t *testing.T) {
 		}()
 		_, err := Map(marked, lib, Options{
 			Mode: Async, Workers: workers, Ctx: ctx,
-			RequestID:   "cancelprobe-request-id",
-			HazardCache: hazcache.New(0), // cold private cache: keep the run slow
+			RequestID: "cancelprobe-request-id",
 		})
 		cancel()
 		if err == nil {

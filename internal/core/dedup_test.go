@@ -115,3 +115,32 @@ func TestStoreKeysTellGroupingsApart(t *testing.T) {
 		}
 	}
 }
+
+// TestNoHazardCacheByDefault: without Options.HazardCache no hazard
+// analysis crosses runs. abcs on Actel makes analyses past the per-cone
+// memo; mapping it a second time in the same process makes them all again,
+// and neither run reports a cache hit.
+func TestNoHazardCacheByDefault(t *testing.T) {
+	abcs, err := bench.DesignByName("abcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := library.MustGet("Actel")
+	var runs [2]core.Stats
+	for i := range runs {
+		res, err := core.AsyncTmap(abcs.Net, lib, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res.Stats
+		if res.Stats.HazCacheHits != 0 {
+			t.Errorf("run %d: %d cache hits without a cache", i+1, res.Stats.HazCacheHits)
+		}
+	}
+	if runs[0].HazCacheMisses == 0 {
+		t.Fatal("abcs made no hazard analyses past the per-cone memo")
+	}
+	if runs[1].HazCacheMisses != runs[0].HazCacheMisses {
+		t.Errorf("second run made %d fresh analyses, the first %d", runs[1].HazCacheMisses, runs[0].HazCacheMisses)
+	}
+}

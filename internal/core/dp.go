@@ -158,7 +158,7 @@ type coneMapper struct {
 
 	// hazCache is the per-cone memo of cluster hazard sets (already
 	// translated into each cluster's variable space), consulted before
-	// the shared cross-cone hazcache. Entries are owned by this cone.
+	// Options.HazardCache, if any. Entries are owned by this cone.
 	hazCache map[string]*hazard.Set
 	emitted  map[[2]int]string
 	matCount int
@@ -1059,9 +1059,9 @@ func (cm *coneMapper) hazardSubsetOK(fn *bexpr.Function, phase int, cell *librar
 		}
 		sharedHit := false
 		if hc := cm.m.opts.HazardCache; hc != nil {
-			// The shared cross-cone cache: one hazard.Analyze serves every
-			// structurally equivalent cluster in the process, across cones,
-			// workers and runs. Returned sets are fresh copies, translated
+			// The caller's cross-cone cache: one hazard.Analyze serves every
+			// structurally equivalent cluster of the runs sharing it, across
+			// cones and workers. Returned sets are fresh copies, translated
 			// into this cluster's variable space, so the per-cone memo
 			// never aliases another goroutine's data.
 			set, hit := hc.Analyze(cfn)

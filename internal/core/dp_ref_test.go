@@ -361,9 +361,9 @@ func (cm *coneMapper) tryCellSlow(id, phase int, fn *bexpr.Function, target trut
 }
 
 // hazardSubsetOKSlow is the reference hazardSubsetOK: the same per-cone
-// memo and shared cache, then the cell's hazard set translated through
-// the binding, filtered to MaxBurst and tested for the subset in three
-// separate steps.
+// memo and optional cross-cone cache, then the cell's hazard set
+// translated through the binding, filtered to MaxBurst and tested for the
+// subset in three separate steps.
 func (cm *coneMapper) hazardSubsetOKSlow(fn *bexpr.Function, phase int, cell *library.Cell, b hazard.Binding, key string) bool {
 	cm.m.stats.HazardChecks++
 	cellSet := cell.Hazards

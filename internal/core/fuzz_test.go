@@ -7,7 +7,6 @@ import (
 
 	"gfmap/internal/blif"
 	"gfmap/internal/eqn"
-	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
 	"gfmap/internal/network"
 )
@@ -57,11 +56,7 @@ func FuzzMapEqn(f *testing.F) {
 			return
 		}
 		for _, mode := range []Mode{Sync, Async} {
-			res, err := Map(net, lib, Options{
-				Mode:        mode,
-				Workers:     1,
-				HazardCache: hazcache.New(0),
-			})
+			res, err := Map(net, lib, Options{Mode: mode, Workers: 1})
 			if err != nil {
 				if errors.Is(err, ErrInternal) {
 					t.Fatalf("mode %v: internal panic: %v", mode, err)
@@ -100,7 +95,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if !fuzzable(net) {
 			return
 		}
-		res, err := Map(net, lib, Options{Mode: Async, Workers: 1, HazardCache: hazcache.New(0)})
+		res, err := Map(net, lib, Options{Mode: Async, Workers: 1})
 		if err != nil {
 			if errors.Is(err, ErrInternal) {
 				t.Fatalf("internal panic: %v", err)

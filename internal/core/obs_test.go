@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
 	"gfmap/internal/obs"
 )
@@ -28,7 +27,7 @@ z = (u*e)' + d*f;
 func TestTracingPreservesMapping(t *testing.T) {
 	net := parseNet(t, obsSrc, "obs")
 	lib := library.MustGet("Actel")
-	base, err := Map(net, lib, Options{Mode: Async, Workers: 1, HazardCache: hazcache.New(0)})
+	base, err := Map(net, lib, Options{Mode: Async, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestTracingPreservesMapping(t *testing.T) {
 		tr := obs.NewTracer(0)
 		reg := obs.NewRegistry()
 		traced, err := Map(net, lib, Options{
-			Mode: Async, Workers: workers, HazardCache: hazcache.New(0),
+			Mode: Async, Workers: workers,
 			Tracer: tr, Metrics: reg, ProfileLabels: true,
 		})
 		if err != nil {
@@ -80,9 +79,6 @@ func TestTracingPreservesMapping(t *testing.T) {
 		if snap.Gauges["map_area"] != traced.Area {
 			t.Errorf("workers=%d: map_area gauge = %g, want %g", workers, snap.Gauges["map_area"], traced.Area)
 		}
-		if _, ok := snap.Gauges["hazcache_entries"]; !ok {
-			t.Errorf("workers=%d: hazcache metrics not exported", workers)
-		}
 		// The exported Chrome trace must be valid JSON with X spans.
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -124,11 +120,11 @@ func TestTracingPreservesMapping(t *testing.T) {
 func TestTracerDisabledStatsIdentical(t *testing.T) {
 	net := parseNet(t, obsSrc, "obs2")
 	lib := library.MustGet("CMOS3")
-	plain, err := Map(net, lib, Options{Mode: Async, Workers: 4, HazardCache: hazcache.New(0)})
+	plain, err := Map(net, lib, Options{Mode: Async, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Map(net, lib, Options{Mode: Async, Workers: 4, HazardCache: hazcache.New(0),
+	traced, err := Map(net, lib, Options{Mode: Async, Workers: 4,
 		Tracer: obs.NewTracer(0), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

@@ -114,15 +114,17 @@ type variant struct {
 }
 
 func matrix(workers int, store *mapstore.Store) []variant {
+	// The hazard-cache axes: cache fills a private, empty cache and
+	// cachewarm maps again against it, so its lookups hit.
+	cache := hazcache.New(0)
+	withCache := func(o core.Options) core.Options { o.Workers = 1; o.HazardCache = cache; return o }
 	vars := []variant{
 		{name: "serial",
 			opts: func(o core.Options) core.Options { o.Workers = 1; return o }},
 		{name: "workers",
 			opts: func(o core.Options) core.Options { o.Workers = workers; return o }},
-		{name: "nocache",
-			opts: func(o core.Options) core.Options { o.Workers = 1; o.DisableHazardCache = true; return o }},
-		{name: "warmshared",
-			opts: func(o core.Options) core.Options { o.Workers = 1; return o }}, // second run against the same private cache, warm
+		{name: "cache", opts: withCache},
+		{name: "cachewarm", opts: withCache},
 		{name: "ctx", ctx: context.Background(),
 			opts: func(o core.Options) core.Options { o.Workers = 1; return o }},
 	}
@@ -185,15 +187,10 @@ func Check(net *network.Network, opts Options) *Report {
 
 func checkMode(net *network.Network, mode core.Mode, workers int, opts Options, rep *Report) {
 	ms := mode.String()
-	// A private cache isolates the run from the process-wide shared cache
-	// while still exercising cold→warm transparency via the "warmshared"
-	// variant, which reuses it after the serial baseline has filled it.
-	cache := hazcache.New(0)
 	base := core.Options{
-		Mode:        mode,
-		Objective:   opts.Objective,
-		MaxBurst:    opts.MaxBurst,
-		HazardCache: cache,
+		Mode:      mode,
+		Objective: opts.Objective,
+		MaxBurst:  opts.MaxBurst,
 	}
 	// Each mode gets a private, empty store so the cold/warm split is
 	// controlled by the matrix, not by whatever ran before.

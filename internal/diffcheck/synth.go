@@ -13,7 +13,6 @@ import (
 
 	"gfmap/internal/bmspec"
 	"gfmap/internal/core"
-	"gfmap/internal/hazcache"
 	"gfmap/internal/library"
 	"gfmap/internal/mapstore"
 	"gfmap/internal/synth"
@@ -280,7 +279,6 @@ func CheckSynth(m *bmspec.Machine, opts SynthOptions) *Report {
 		rep.add(KindRoundTrip, "synth", "bmspec", "String→Parse→String is not identity:\n"+text+"\nvs\n"+m2.String())
 	}
 
-	cache := hazcache.New(0)
 	var store *mapstore.Store
 	if !opts.SkipStoreAxes {
 		store = mapstore.NewMemory(0)
@@ -297,7 +295,6 @@ func CheckSynth(m *bmspec.Machine, opts SynthOptions) *Report {
 		o := v.opts(synth.Options{
 			Library: opts.Lib,
 			Trials:  trials,
-			Map:     core.Options{HazardCache: cache},
 		})
 		res, err := safeSynth(m, o)
 		if err != nil && isInternal(err) {

@@ -1,13 +1,9 @@
-// Package hazcache is a process-wide, concurrency-safe memo of exact
-// hazard-analysis results, shared across cones, worker goroutines and
-// whole mapping runs.
-//
-// Hazard analysis (§4 of the paper) is the dominant cost of async_tmap:
-// every candidate cluster is analysed per phase, and detecting hazards is
-// fundamentally expensive. The same cluster shapes recur constantly —
-// across the cones of one design, across the replicated slices of the big
-// controllers, and across parallel DP workers — so one analysis can serve
-// them all.
+// Package hazcache is a concurrency-safe memo of exact hazard-analysis
+// results that a caller may share across cones, worker goroutines and
+// whole mapping runs by passing one Cache to core.Options.HazardCache or
+// server.Config.HazardCache. Without one, the mapper memoises analyses
+// per cone only and analyses everything else fresh; clusters are at most
+// MaxLeaves inputs wide, so a fresh analysis is cheap.
 //
 // Entries are keyed by the cluster's canonical truth table. Because the
 // hazard set of an implementation depends on its *structure*, not only on
@@ -19,8 +15,8 @@
 // up to input permutation and operand ordering do share one entry; the
 // cached set is stored in canonical variable space and translated through
 // the recovered binding at lookup time. The cache is therefore
-// semantically transparent: mapping results are bit-identical with the
-// cache on, off, warm or cold.
+// semantically transparent: mapping results are bit-identical with a
+// cache or without one, warm or cold.
 //
 // The cache is sharded by truth-table hash, each shard behind its own
 // RWMutex, so highly parallel mapping runs (core.Options.Workers) scale
@@ -35,14 +31,14 @@ import (
 
 	"gfmap/internal/bexpr"
 	"gfmap/internal/hazard"
-	"gfmap/internal/obs"
 	"gfmap/internal/truthtab"
 )
 
 const numShards = 64
 
-// DefaultMaxEntries bounds the shared cache; clusters are small (at most
-// MaxLeaves inputs), so even the cap costs only a few tens of megabytes.
+// DefaultMaxEntries bounds a cache built with New(0); clusters are small
+// (at most MaxLeaves inputs), so even the cap costs only a few tens of
+// megabytes.
 const DefaultMaxEntries = 1 << 16
 
 // entry is one cached analysis: the hazard set of canonKey's structure in
@@ -60,19 +56,17 @@ type shard struct {
 	// evictions is guarded by mu, so Stats can read it and count in one
 	// consistent per-shard snapshot.
 	evictions uint64
-	// hits and contended are atomics so the read-locked hit path and the
-	// TryLock probes never write under a read lock.
-	hits      atomic.Uint64
-	contended atomic.Uint64
 }
 
 // Cache is a sharded hazard-analysis memo. The zero value is not usable;
-// construct with New or use the process-wide Shared cache.
+// construct with New.
 type Cache struct {
 	maxPerShard int
 	shards      [numShards]shard
 
-	misses atomic.Uint64
+	// hits and misses are atomics so the read-locked hit path never
+	// writes under a read lock.
+	hits, misses atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the cache counters. Entries and
@@ -83,19 +77,6 @@ type Stats struct {
 	Misses    uint64
 	Evictions uint64
 	Entries   int
-	// Contended counts lock acquisitions that found the shard lock held
-	// and had to wait — a direct measure of shard contention under
-	// parallel mapping.
-	Contended uint64
-}
-
-// ShardStat is a consistent snapshot of one shard's occupancy and
-// counters, for per-shard metrics export.
-type ShardStat struct {
-	Entries   int
-	Evictions uint64
-	Hits      uint64
-	Contended uint64
 }
 
 // New returns an empty cache holding at most maxEntries analyses;
@@ -114,12 +95,6 @@ func New(maxEntries int) *Cache {
 	}
 	return c
 }
-
-var shared = New(DefaultMaxEntries)
-
-// Shared returns the process-wide cache used by default for every mapping
-// run.
-func Shared() *Cache { return shared }
 
 // Canon is the canonical form of a cluster function: a structurally
 // normalised expression with variables renamed c0..ck in first-use order,
@@ -279,14 +254,11 @@ func (c *Cache) Analyze(f *bexpr.Function) (*hazard.Set, bool) {
 	structKey := cn.Fn.Root.String()
 	sh := &c.shards[shardIndex(ttKey)]
 
-	if !sh.mu.TryRLock() {
-		sh.contended.Add(1)
-		sh.mu.RLock()
-	}
+	sh.mu.RLock()
 	for _, e := range sh.buckets[ttKey] {
 		if e.structKey == structKey {
 			sh.mu.RUnlock()
-			sh.hits.Add(1)
+			c.hits.Add(1)
 			return cn.translate(e.set), true
 		}
 	}
@@ -300,10 +272,7 @@ func (c *Cache) Analyze(f *bexpr.Function) (*hazard.Set, bool) {
 	}
 	c.misses.Add(1)
 
-	if !sh.mu.TryLock() {
-		sh.contended.Add(1)
-		sh.mu.Lock()
-	}
+	sh.mu.Lock()
 	for _, e := range sh.buckets[ttKey] {
 		if e.structKey == structKey {
 			// A racing worker inserted first; defer to its result so every
@@ -334,81 +303,13 @@ func (c *Cache) Analyze(f *bexpr.Function) (*hazard.Set, bool) {
 // are built from consistent per-shard pairs rather than field-by-field
 // racing reads.
 func (c *Cache) Stats() Stats {
-	s := Stats{Misses: c.misses.Load()}
-	for _, st := range c.ShardStats() {
-		s.Entries += st.Entries
-		s.Evictions += st.Evictions
-		s.Hits += st.Hits
-		s.Contended += st.Contended
-	}
-	return s
-}
-
-// ShardStats returns a per-shard snapshot of occupancy, evictions, hits
-// and lock contention; Entries and Evictions are read under the shard
-// lock as one consistent pair.
-func (c *Cache) ShardStats() []ShardStat {
-	out := make([]ShardStat, numShards)
+	s := Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		out[i].Entries = sh.count
-		out[i].Evictions = sh.evictions
+		s.Entries += sh.count
+		s.Evictions += sh.evictions
 		sh.mu.RUnlock()
-		out[i].Hits = sh.hits.Load()
-		out[i].Contended = sh.contended.Load()
 	}
-	return out
-}
-
-// ExportMetrics publishes the cache state into a metrics registry:
-// aggregate gauges (hazcache_entries, _hits, _misses, _evictions,
-// _contended), per-shard occupancy and hit gauges
-// (hazcache_shard<NN>_entries / _hits, emitted only for shards that have
-// ever held an entry or served a hit, to keep reports compact), and a
-// histogram of shard occupancy (hazcache_shard_occupancy, one sample per
-// shard per export) whose spread shows how evenly the truth-table hash
-// distributes load. Safe to call repeatedly: gauges are set to the
-// current snapshot, never accumulated. A nil registry (or nil cache) is
-// a no-op.
-func (c *Cache) ExportMetrics(r *obs.Registry) {
-	if c == nil || r == nil {
-		return
-	}
-	shards := c.ShardStats()
-	occ := r.Histogram("hazcache_shard_occupancy", obs.ExpBuckets(1, 2, 12))
-	var s Stats
-	s.Misses = c.misses.Load()
-	for i, st := range shards {
-		s.Entries += st.Entries
-		s.Evictions += st.Evictions
-		s.Hits += st.Hits
-		s.Contended += st.Contended
-		if st.Entries > 0 || st.Hits > 0 || st.Evictions > 0 {
-			r.Gauge(fmt.Sprintf("hazcache_shard%02d_entries", i)).Set(float64(st.Entries))
-			r.Gauge(fmt.Sprintf("hazcache_shard%02d_hits", i)).Set(float64(st.Hits))
-		}
-		occ.Observe(float64(st.Entries))
-	}
-	r.Gauge("hazcache_entries").Set(float64(s.Entries))
-	r.Gauge("hazcache_hits").Set(float64(s.Hits))
-	r.Gauge("hazcache_misses").Set(float64(s.Misses))
-	r.Gauge("hazcache_evictions").Set(float64(s.Evictions))
-	r.Gauge("hazcache_contended").Set(float64(s.Contended))
-}
-
-// Reset empties the cache and zeroes its counters (for benchmarks that
-// need a cold start).
-func (c *Cache) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.buckets = make(map[string][]entry)
-		sh.count = 0
-		sh.evictions = 0
-		sh.mu.Unlock()
-		sh.hits.Store(0)
-		sh.contended.Store(0)
-	}
-	c.misses.Store(0)
+	return s
 }

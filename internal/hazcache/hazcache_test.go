@@ -9,7 +9,6 @@ import (
 
 	"gfmap/internal/bexpr"
 	"gfmap/internal/hazard"
-	"gfmap/internal/obs"
 )
 
 // direct computes the reference hazard set without any caching.
@@ -326,71 +325,4 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	if s.Hits+s.Misses == 0 {
 		t.Error("no lookups recorded")
 	}
-}
-
-// TestShardStats: per-shard snapshots must sum to the aggregate view.
-func TestShardStats(t *testing.T) {
-	c := New(0)
-	for i := 0; i < 50; i++ {
-		f := fn(t, fmt.Sprintf("a*b + a'*x%d", i), "a", "b", fmt.Sprintf("x%d", i))
-		c.Analyze(f) // miss
-		c.Analyze(f) // hit
-	}
-	agg := c.Stats()
-	var entries int
-	var hits, evictions, contended uint64
-	for _, st := range c.ShardStats() {
-		entries += st.Entries
-		hits += st.Hits
-		evictions += st.Evictions
-		contended += st.Contended
-	}
-	if entries != agg.Entries || hits != agg.Hits || evictions != agg.Evictions || contended != agg.Contended {
-		t.Errorf("shard sums (%d, %d, %d, %d) != aggregate (%d, %d, %d, %d)",
-			entries, hits, evictions, contended, agg.Entries, agg.Hits, agg.Evictions, agg.Contended)
-	}
-	if hits == 0 {
-		t.Error("expected per-shard hits after repeated lookups")
-	}
-}
-
-// TestExportMetrics: the registry export must mirror the cache counters
-// and be idempotent (gauges set, not accumulated).
-func TestExportMetrics(t *testing.T) {
-	c := New(0)
-	c.Reset()
-	for i := 0; i < 10; i++ {
-		f := fn(t, fmt.Sprintf("a*b + a'*y%d", i), "a", "b", fmt.Sprintf("y%d", i))
-		c.Analyze(f)
-		c.Analyze(f)
-	}
-	reg := obs.NewRegistry()
-	c.ExportMetrics(reg)
-	c.ExportMetrics(reg) // idempotent
-	snap := reg.Snapshot()
-	agg := c.Stats()
-	if got := snap.Gauges["hazcache_entries"]; got != float64(agg.Entries) {
-		t.Errorf("hazcache_entries = %g, want %d", got, agg.Entries)
-	}
-	if got := snap.Gauges["hazcache_hits"]; got != float64(agg.Hits) {
-		t.Errorf("hazcache_hits = %g, want %d", got, agg.Hits)
-	}
-	if got := snap.Gauges["hazcache_misses"]; got != float64(agg.Misses) {
-		t.Errorf("hazcache_misses = %g, want %d", got, agg.Misses)
-	}
-	var shardEntries float64
-	for i := 0; i < numShards; i++ {
-		shardEntries += snap.Gauges[fmt.Sprintf("hazcache_shard%02d_entries", i)]
-	}
-	if shardEntries != float64(agg.Entries) {
-		t.Errorf("per-shard entries sum = %g, want %d", shardEntries, agg.Entries)
-	}
-	// Occupancy histogram: two exports, one sample per shard each.
-	if occ := snap.Histograms["hazcache_shard_occupancy"]; occ.Count != 2*numShards {
-		t.Errorf("occupancy samples = %d, want %d", occ.Count, 2*numShards)
-	}
-	// nil registry / nil cache are no-ops
-	c.ExportMetrics(nil)
-	var nilCache *Cache
-	nilCache.ExportMetrics(reg)
 }

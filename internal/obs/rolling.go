@@ -1,12 +1,11 @@
 package obs
 
-// Rolling latency primitives for steady-state serving: RunningStat keeps
-// lock-free cumulative moments (count/mean/stddev/min/max) and
 // RollingHistogram keeps a time-sliced ring of fixed-bucket histograms so
-// a scrape sees the last window's distribution (rolling p50/p99) rather
-// than the process-lifetime one. Both follow the package's discipline:
-// nil receivers are valid and inert, and the observe path is lock-free
-// and allocation-free (pinned by AllocsPerRun in the package tests).
+// a scrape sees the last window's latency distribution (rolling p50/p99)
+// rather than the process-lifetime one. It follows the package's
+// discipline: a nil receiver is valid and inert, and the observe path is
+// lock-free and allocation-free (pinned by AllocsPerRun in the package
+// tests).
 
 import (
 	"math"
@@ -24,105 +23,6 @@ func addFloat(bits *atomic.Uint64, v float64) {
 		if bits.CompareAndSwap(old, next) {
 			return
 		}
-	}
-}
-
-// orderedBits encodes a float64 so that unsigned integer comparison of
-// the encodings matches float comparison of the values (the standard
-// sign-flip trick). The encoding of any non-NaN value is nonzero, so 0
-// can serve as an "unset" sentinel.
-func orderedBits(v float64) uint64 {
-	b := math.Float64bits(v)
-	if b&(1<<63) != 0 {
-		return ^b
-	}
-	return b | (1 << 63)
-}
-
-func fromOrderedBits(u uint64) float64 {
-	if u&(1<<63) != 0 {
-		return math.Float64frombits(u &^ (1 << 63))
-	}
-	return math.Float64frombits(^u)
-}
-
-// RunningStat accumulates count, sum, sum of squares, minimum and maximum
-// of a stream of observations, lock-free. The zero value is ready to use;
-// a nil *RunningStat is valid and inert. Mean and variance follow the
-// cumulative-moment formulation used by ndn-dpdk's runningstat (the
-// naive sum-of-squares form is fine at metric precision).
-type RunningStat struct {
-	count atomic.Uint64
-	sum   atomic.Uint64 // float64 bits
-	sumSq atomic.Uint64 // float64 bits
-	minB  atomic.Uint64 // orderedBits, 0 = unset
-	maxB  atomic.Uint64 // orderedBits, 0 = unset
-}
-
-// Observe records one sample. NaN samples are dropped.
-func (r *RunningStat) Observe(v float64) {
-	if r == nil || math.IsNaN(v) {
-		return
-	}
-	r.count.Add(1)
-	addFloat(&r.sum, v)
-	addFloat(&r.sumSq, v*v)
-	e := orderedBits(v)
-	for {
-		old := r.minB.Load()
-		if old != 0 && old <= e {
-			break
-		}
-		if r.minB.CompareAndSwap(old, e) {
-			break
-		}
-	}
-	for {
-		old := r.maxB.Load()
-		if old != 0 && old >= e {
-			break
-		}
-		if r.maxB.CompareAndSwap(old, e) {
-			break
-		}
-	}
-}
-
-// RunningStatSnapshot is a point-in-time view of a RunningStat.
-type RunningStatSnapshot struct {
-	Count  uint64  `json:"count"`
-	Sum    float64 `json:"sum"`
-	Mean   float64 `json:"mean"`
-	Stddev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-}
-
-// Snapshot returns the current statistics (zero-valued when empty or on a
-// nil receiver). Concurrent observers may make the fields mutually
-// slightly stale; each field is individually correct.
-func (r *RunningStat) Snapshot() RunningStatSnapshot {
-	if r == nil {
-		return RunningStatSnapshot{}
-	}
-	n := r.count.Load()
-	if n == 0 {
-		return RunningStatSnapshot{}
-	}
-	sum := math.Float64frombits(r.sum.Load())
-	sumSq := math.Float64frombits(r.sumSq.Load())
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if variance < 0 { // rounding
-		variance = 0
-	}
-	return RunningStatSnapshot{
-		Count:  n,
-		Sum:    sum,
-		Mean:   mean,
-		Stddev: math.Sqrt(variance),
-		Min:    fromOrderedBits(r.minB.Load()),
-		Max:    fromOrderedBits(r.maxB.Load()),
 	}
 }
 

@@ -1,78 +1,10 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestRunningStatBasics(t *testing.T) {
-	var r RunningStat
-	for _, v := range []float64{4, 2, 8, 6} {
-		r.Observe(v)
-	}
-	s := r.Snapshot()
-	if s.Count != 4 || s.Sum != 20 || s.Mean != 5 {
-		t.Errorf("snapshot = %+v, want count=4 sum=20 mean=5", s)
-	}
-	if s.Min != 2 || s.Max != 8 {
-		t.Errorf("min/max = %g/%g, want 2/8", s.Min, s.Max)
-	}
-	// Variance of {4,2,8,6} is 5, stddev sqrt(5).
-	if math.Abs(s.Stddev-math.Sqrt(5)) > 1e-9 {
-		t.Errorf("stddev = %g, want %g", s.Stddev, math.Sqrt(5))
-	}
-}
-
-func TestRunningStatNegativeAndNaN(t *testing.T) {
-	var r RunningStat
-	r.Observe(-3)
-	r.Observe(math.NaN()) // dropped
-	r.Observe(-1)
-	s := r.Snapshot()
-	if s.Count != 2 || s.Min != -3 || s.Max != -1 {
-		t.Errorf("snapshot = %+v, want count=2 min=-3 max=-1", s)
-	}
-}
-
-func TestRunningStatNilAndEmpty(t *testing.T) {
-	var nilStat *RunningStat
-	nilStat.Observe(1)
-	if s := nilStat.Snapshot(); s != (RunningStatSnapshot{}) {
-		t.Errorf("nil snapshot = %+v", s)
-	}
-	var empty RunningStat
-	if s := empty.Snapshot(); s != (RunningStatSnapshot{}) {
-		t.Errorf("empty snapshot = %+v", s)
-	}
-}
-
-func TestRunningStatConcurrent(t *testing.T) {
-	var r RunningStat
-	var wg sync.WaitGroup
-	const workers, per = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.Observe(float64(i%10 + 1))
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := r.Snapshot()
-	if s.Count != workers*per {
-		t.Errorf("count = %d, want %d", s.Count, workers*per)
-	}
-	if s.Min != 1 || s.Max != 10 {
-		t.Errorf("min/max = %g/%g, want 1/10", s.Min, s.Max)
-	}
-	if math.Abs(s.Sum-float64(workers)*5500) > 1e-6 {
-		t.Errorf("sum = %g, want %g", s.Sum, float64(workers)*5500)
-	}
-}
 
 // fakeRolling builds a rolling histogram whose clock the test controls.
 func fakeRolling(bounds []float64, window time.Duration, slots int) (*RollingHistogram, *time.Duration) {
@@ -195,31 +127,19 @@ func containsLine(s, sub string) bool {
 	return false
 }
 
-// The observe paths of both rolling primitives must stay allocation-free:
-// they run once per request (and once per pipeline stage per request) in
-// the serving hot path.
+// The rolling observe path must stay allocation-free: it runs once per
+// request (and once per pipeline stage per request) in the serving hot
+// path.
 func TestRollingObserveZeroAllocs(t *testing.T) {
-	var rs RunningStat
 	rh := NewRollingHistogram(ExpBuckets(1e-4, 4, 10), time.Minute, 6)
-	var nilRS *RunningStat
 	var nilRH *RollingHistogram
 	allocs := testing.AllocsPerRun(1000, func() {
-		rs.Observe(0.25)
 		rh.Observe(0.25)
 		rh.ObserveDuration(1.5)
-		nilRS.Observe(1)
 		nilRH.Observe(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("rolling observe path allocates: %v allocs/op", allocs)
-	}
-}
-
-func BenchmarkRunningStatObserve(b *testing.B) {
-	var rs RunningStat
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rs.Observe(float64(i&1023) * 1e-3)
 	}
 }
 

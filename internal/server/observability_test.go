@@ -162,8 +162,8 @@ func TestErrorBodyCarriesRequestID(t *testing.T) {
 }
 
 // After serving load, /statusz reports nonzero rolling quantiles for the
-// request and pipeline stages, admission bounds, cache hit rates and the
-// match memo of every served library.
+// request and pipeline stages, admission bounds and the match memo of
+// every served library.
 func TestStatusz(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 2})
 	h := s.Handler()
@@ -200,9 +200,6 @@ func TestStatusz(t *testing.T) {
 	}
 	if st.UptimeSeconds <= 0 {
 		t.Errorf("uptime = %g", st.UptimeSeconds)
-	}
-	if st.HazardCache.Hits+st.HazardCache.Misses == 0 {
-		t.Errorf("hazard cache saw no traffic: %+v", st.HazardCache)
 	}
 	// Every served library reports its match memo; the mapped one (the
 	// first, the default) holds the targets of Figure 3.

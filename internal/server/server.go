@@ -70,9 +70,10 @@ type Config struct {
 	// Registry receives the server's and the mapper's metrics; nil means
 	// a fresh private registry (exposed at /metrics either way).
 	Registry *obs.Registry
-	// HazardCache is the cross-request hazard-analysis cache; nil means
-	// the process-wide hazcache.Shared(). Requests share it by design:
-	// one request's analyses warm the next one's matching filter.
+	// HazardCache, when non-nil, is a hazard-analysis cache every request
+	// passes to core.Options.HazardCache, so one request's analyses warm
+	// the next one's matching filter. Nil (the default) means no shared
+	// cache: each request memoises its analyses per cone only.
 	HazardCache *hazcache.Cache
 	// Store is the persistent content-addressed cone-solution store
 	// shared by every request; nil disables it. The store is owned by
@@ -130,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
-	}
-	if c.HazardCache == nil {
-		c.HazardCache = hazcache.Shared()
 	}
 	if c.AccessLog == nil {
 		c.AccessLog = os.Stderr
@@ -764,7 +762,6 @@ func wantsPrometheus(r *http.Request) bool {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge(MetricInflight).Set(float64(s.inflight.Load()))
 	s.reg.Gauge(MetricQueued).Set(float64(s.queued.Load()))
-	s.cfg.HazardCache.ExportMetrics(s.reg)
 	s.cfg.Store.ExportMetrics(s.reg)
 	snap := s.reg.Snapshot()
 	switch {

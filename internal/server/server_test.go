@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"gfmap/internal/hazcache"
 	"gfmap/internal/mapstore"
 	"gfmap/internal/obs"
 )
@@ -25,7 +24,7 @@ const (
 )
 
 // slowEqn builds a design with n structurally similar cones, big enough
-// (with a cold hazard cache) to outlive a millisecond-scale deadline.
+// to outlive a millisecond-scale deadline.
 func slowEqn(n int) string {
 	var b strings.Builder
 	b.WriteString("INPUT(a,b,c,d,e,g,h,i)\nOUTPUT(")
@@ -104,6 +103,33 @@ func TestMapEndpointJSON(t *testing.T) {
 		if tc.req.Output == "" && resp.Netlist == "" {
 			t.Errorf("%s: default output should include the netlist", tc.name)
 		}
+	}
+}
+
+// A server built without Config.HazardCache shares no hazard analysis
+// between requests: the second of two identical Actel requests makes every
+// analysis past the per-cone memo again and reports no cache hit.
+func TestNoHazardCacheByDefault(t *testing.T) {
+	s, err := New(Config{AccessLog: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := MapRequest{Format: "eqn", Design: fig3Eqn, Library: "Actel", Mode: "async"}
+	var runs [2]MapResponse
+	for i := range runs {
+		w := postJSON(t, s.Handler(), "/map", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i+1, w.Code, w.Body.String())
+		}
+		runs[i] = decodeMapResponse(t, w)
+	}
+	first, second := runs[0].Stats, runs[1].Stats
+	if first.HazCacheMisses == 0 {
+		t.Fatal("Figure 3 on Actel made no hazard analyses past the per-cone memo")
+	}
+	if second.HazCacheHits != 0 || second.HazCacheMisses != first.HazCacheMisses {
+		t.Errorf("second request: %d hits and %d fresh analyses, want 0 and %d",
+			second.HazCacheHits, second.HazCacheMisses, first.HazCacheMisses)
 	}
 }
 
@@ -269,9 +295,8 @@ func TestBackpressure503(t *testing.T) {
 // A request deadline must abort the covering DP and answer 504.
 func TestRequestTimeout504(t *testing.T) {
 	s := newTestServer(t, Config{
-		MaxTimeout:  time.Minute,
-		HazardCache: hazcache.New(0), // cold private cache: keep the run slow
-		Registry:    obs.NewRegistry(),
+		MaxTimeout: time.Minute,
+		Registry:   obs.NewRegistry(),
 	})
 	w := postJSON(t, s.Handler(), "/map", MapRequest{
 		Format: "eqn", Design: slowEqn(120), Library: "LSI9K", TimeoutMS: 3,

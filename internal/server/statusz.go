@@ -154,14 +154,6 @@ type AdmissionStatus struct {
 	MaxQueue      int   `json:"max_queue"`
 }
 
-// CacheStatus summarises the shared hazard cache.
-type CacheStatus struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	Entries int     `json:"entries"`
-	HitRate float64 `json:"hit_rate"`
-}
-
 // StoreStatus summarises the persistent mapping store; Enabled is false
 // (and the counters zero) when the server runs without one.
 type StoreStatus struct {
@@ -191,7 +183,6 @@ type StatuszResponse struct {
 	WindowSeconds float64               `json:"window_seconds"`
 	Stages        map[string]StageStats `json:"stages"`
 	Admission     AdmissionStatus       `json:"admission"`
-	HazardCache   CacheStatus           `json:"hazard_cache"`
 	MatchMemo     map[string]MemoStatus `json:"match_memo"`
 	Store         StoreStatus           `json:"store"`
 	Fleet         *fleet.Status         `json:"fleet,omitempty"`
@@ -238,13 +229,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			MaxConcurrent: s.cfg.MaxConcurrent,
 			MaxQueue:      s.cfg.MaxQueue,
 		},
-	}
-	hz := s.cfg.HazardCache.Stats()
-	resp.HazardCache = CacheStatus{
-		Hits:    hz.Hits,
-		Misses:  hz.Misses,
-		Entries: hz.Entries,
-		HitRate: hitRate(hz.Hits, hz.Misses),
 	}
 	resp.MatchMemo = make(map[string]MemoStatus, len(s.order))
 	for _, name := range s.order {
