@@ -4,7 +4,10 @@ package gfmap
 // into a temporary directory and driven the way a user would drive it.
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -351,6 +354,77 @@ func TestCLIPaperbenchJSON(t *testing.T) {
 		}
 		if _, ok := d.Histograms["map_cuts_per_node"]; !ok {
 			t.Errorf("%s: missing cuts-per-node histogram", d.Design)
+		}
+	}
+}
+
+// TestCLIAsyncmapCPUProfile: -cpuprofile writes a gzip-compressed pprof
+// profile without perturbing the netlist, and stops the profile on the
+// failing exits too (status 2 from -verify, status 1 from bad input), so
+// their profile files are complete.
+func TestCLIAsyncmapCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	checkProfile := func(path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s is not gzip (%d bytes): %v", filepath.Base(path), len(data), err)
+		}
+		body, err := io.ReadAll(zr)
+		if err != nil || len(body) == 0 {
+			t.Fatalf("%s: %d profile bytes, err %v", filepath.Base(path), len(body), err)
+		}
+	}
+
+	prof := filepath.Join(dir, "cpu.pprof")
+	profiled, stderr, code := runSplit(t, "asyncmap", fig3Eqn, "-lib", "Actel", "-cpuprofile", prof)
+	if code != 0 {
+		t.Fatalf("asyncmap -cpuprofile failed (%d):\n%s", code, stderr)
+	}
+	checkProfile(prof)
+	plain, _, code := runSplit(t, "asyncmap", fig3Eqn, "-lib", "Actel")
+	if code != 0 {
+		t.Fatal("unprofiled run failed")
+	}
+	netlistOf := func(out string) string {
+		var keep []string
+		for _, ln := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(ln, "#") {
+				keep = append(keep, ln)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if !strings.Contains(plain, "INPUT(") || netlistOf(profiled) != netlistOf(plain) {
+		t.Errorf("profiling perturbed the netlist:\n%s\nvs\n%s", netlistOf(profiled), netlistOf(plain))
+	}
+
+	unsafe := filepath.Join(dir, "verify-fail.pprof")
+	if out, code := run(t, "asyncmap", fig3Eqn, "-lib", "LSI9K", "-mode", "sync", "-verify", "-cpuprofile", unsafe); code != 2 {
+		t.Fatalf("sync -verify should exit 2, got %d:\n%s", code, out)
+	}
+	checkProfile(unsafe)
+	bad := filepath.Join(dir, "fatal.pprof")
+	if out, code := run(t, "asyncmap", "garbage", "-cpuprofile", bad); code != 1 {
+		t.Fatalf("garbage input should exit 1, got %d:\n%s", code, out)
+	}
+	checkProfile(bad)
+}
+
+// TestCLIAsyncmapNoNetHTTP: the CLI profiles to a file, so it links no
+// HTTP stack; net/http and crypto/tls cost every exec start-up time.
+func TestCLIAsyncmapNoNetHTTP(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/asyncmap").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if dep == "net/http" || dep == "crypto/tls" {
+			t.Errorf("cmd/asyncmap depends on %s", dep)
 		}
 	}
 }

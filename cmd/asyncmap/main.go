@@ -7,7 +7,7 @@
 //	asyncmap -lib LSI9K [-mode async|sync] [-depth 5] [-verify] design.eqn
 //	asyncmap -libfile mylib.genlib design.blif
 //	asyncmap -trace out.json -events out.jsonl -hist design.eqn
-//	asyncmap -pprof :6060 big-design.eqn
+//	asyncmap -cpuprofile cpu.pprof big-design.eqn
 //	asyncmap -spec [-trials 8] [-evidence ev.json] [-vcd] machine.bm
 //
 // With no positional argument the network is read from standard input in
@@ -37,9 +37,11 @@
 // whole pipeline (load it at https://ui.perfetto.dev — one track per DP
 // worker), -events writes the same records as grep/jq-friendly JSONL,
 // -hist prints metric histograms (hazard-analysis latency, cuts per
-// node, cluster leaf widths), and -pprof serves net/http/pprof on the
-// given address for live CPU/heap profiling with per-worker and per-cone
-// labels. See docs/OBSERVABILITY.md.
+// node, cluster leaf widths), and -cpuprofile writes a runtime/pprof CPU
+// profile of the whole run to a file, with per-worker and per-cone labels
+// on the covering work (go tool pprof -tags cpu.pprof). The profile is
+// stopped and flushed on every exit, failures included. A live heap of a
+// long run goes through asyncmapd's -pprof. See docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -48,10 +50,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -81,7 +82,7 @@ func main() {
 	statsFmt := flag.String("stats", "text", "statistics format: text or json (json goes to stderr when the netlist is on stdout)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the pipeline (open in Perfetto)")
 	eventsOut := flag.String("events", "", "write the span/event log as JSONL to this file")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) and label DP workers")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file, with worker/cone labels on the covering work (go tool pprof)")
 	hist := flag.Bool("hist", false, "print metric histograms (hazard latency, cuts/node, cluster widths) as comment lines")
 	storePath := flag.String("store", "", "persistent cone-solution store file; a warm store skips the covering DP for unchanged cones (results are byte-identical)")
 	specMode := flag.Bool("spec", false, "treat the input as a burst-mode specification and run the spec-to-silicon pipeline (implied by a .bm input file)")
@@ -91,6 +92,10 @@ func main() {
 	withVCD := flag.Bool("vcd", false, "with -spec: attach a VCD waveform dump to each transition's evidence")
 	flag.Parse()
 
+	if *cpuProfile != "" {
+		startCPUProfile(*cpuProfile)
+		defer stopProfile()
+	}
 	if *statsFmt != "text" && *statsFmt != "json" {
 		fatal(fmt.Errorf("unknown stats format %q", *statsFmt))
 	}
@@ -99,7 +104,7 @@ func main() {
 		fatal(err)
 	}
 	opts := core.Options{MaxDepth: *depth, MaxLeaves: *leaves, Workers: *workers,
-		MaxBurst: *maxBurst}
+		MaxBurst: *maxBurst, ProfileLabels: *cpuProfile != ""}
 	switch *objective {
 	case "area":
 		opts.Objective = core.MinArea
@@ -129,14 +134,6 @@ func main() {
 		}
 		defer store.Close()
 		opts.Store = store
-	}
-	if *pprofAddr != "" {
-		opts.ProfileLabels = true
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "asyncmap: pprof server:", err)
-			}
-		}()
 	}
 	if *specMode || strings.HasSuffix(flag.Arg(0), ".bm") {
 		runSpec(flag.Arg(0), lib, opts, specRun{
@@ -215,7 +212,7 @@ func main() {
 			for _, d := range rep.Details {
 				fmt.Println("#   " + d)
 			}
-			os.Exit(2)
+			exit(2)
 		}
 	}
 }
@@ -292,7 +289,7 @@ func runSpec(path string, lib *library.Library, mapOpts core.Options, cfg specRu
 	}
 	if !ev.HazardFree || !ev.Settled {
 		fmt.Fprintln(os.Stderr, "asyncmap: hazard-freedom certificate FAILED")
-		os.Exit(2)
+		exit(2)
 	}
 }
 
@@ -394,7 +391,36 @@ func loadLibrary(name, file string) (*library.Library, error) {
 	return library.Get(name)
 }
 
+// stopProfile stops and flushes the -cpuprofile profile; a no-op
+// without one. Every exit path runs it: a normal return through main's
+// defer, the others through exit.
+var stopProfile = func() {}
+
+// startCPUProfile starts the -cpuprofile CPU profile into path.
+func startCPUProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		fatal(err)
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "asyncmap: cpu profile:", err)
+		}
+	}
+}
+
+// exit stops the CPU profile, then exits with the given status.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "asyncmap:", err)
-	os.Exit(1)
+	exit(1)
 }

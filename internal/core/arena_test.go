@@ -412,8 +412,9 @@ func TestPooledScratchRetainsOnlyStaticStrings(t *testing.T) {
 	}
 }
 
-// leakSrc is bigCtxSrc with every signal name carrying a marker prefix,
-// so pool-hygiene tests can grep reachable strings for request data.
+// leakSrc is bigCtxSrc without the per-output terms and with every signal
+// name carrying a marker prefix, so pool-hygiene tests can grep reachable
+// strings for request data.
 func leakSrc(marker string, n int) string {
 	v := func(x string) string { return marker + "_" + x }
 	var b strings.Builder

@@ -15,8 +15,10 @@ import (
 	"gfmap/internal/network"
 )
 
-// bigCtxSrc builds a design with n structurally similar cones, large
-// enough that mapping reliably outlives a few-millisecond deadline.
+// bigCtxSrc builds a design with n similar cones, large enough that
+// mapping reliably outlives a few-millisecond deadline. A run covers each
+// distinct cone structure once, so every output past the first adds its
+// own product term (ownTerm) and no two cones share a structure.
 func bigCtxSrc(n int) string {
 	var b strings.Builder
 	b.WriteString("INPUT(a,b,c,d,e,g,h,i)\nOUTPUT(")
@@ -28,9 +30,29 @@ func bigCtxSrc(n int) string {
 	}
 	b.WriteString(")\n")
 	for k := 0; k < n; k++ {
-		fmt.Fprintf(&b, "f%d = (a*b + c*d)*(e + g') + (a'*c + b*d')*(h + i') + b*c*(e' + h');\n", k)
+		fmt.Fprintf(&b, "f%d = (a*b + c*d)*(e + g') + (a'*c + b*d')*(h + i') + b*c*(e' + h')%s;\n", k, ownTerm(k))
 	}
 	return b.String()
+}
+
+// ownTerm returns the extra product term of output k: " + " and one
+// literal per binary digit of k over the inputs a, b, c, …, complemented
+// where the digit is 1, so the term's width and complements spell k. It is
+// empty for k = 0 and defined for k < 256.
+func ownTerm(k int) string {
+	inputs := []string{"a", "b", "c", "d", "e", "g", "h", "i"}
+	var lits []string
+	for j := 0; k>>j != 0; j++ {
+		lit := inputs[j]
+		if k>>j&1 == 1 {
+			lit += "'"
+		}
+		lits = append(lits, lit)
+	}
+	if len(lits) == 0 {
+		return ""
+	}
+	return " + " + strings.Join(lits, "*")
 }
 
 func bigCtxNet(t *testing.T, n int) *network.Network {

@@ -9,7 +9,9 @@ package library
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -153,16 +155,20 @@ func (l *Library) Annotated() bool { return l.annotated }
 // initialisation work of the asynchronous mapper measured in Table 2 of
 // the paper. Within the exact-analysis bound only the Set the matching
 // filter reads is computed; past it the compact §4 records decide
-// whether the cell is hazardous. It is idempotent.
+// whether the cell is hazardous. The exact analysis runs once per
+// distinct cell structure (exactHazards): every other cell with that
+// structure gets its own translated copy of the set, so no two cells share
+// a Set. It is idempotent.
 func (l *Library) Annotate() error {
 	if l.annotated {
 		return nil
 	}
+	analysed := make(map[string]structure)
 	for _, c := range l.Cells {
 		rep := &hazard.Report{}
 		var err error
 		if c.NumPins() <= hazard.MaxExhaustiveVars {
-			rep.Set, err = hazard.AnalyzeShared(c.Fn, c.SharedMask())
+			rep.Set, err = c.exactHazards(analysed)
 		} else {
 			rep, err = hazard.AnalyzeFunctionShared(c.Fn, c.SharedMask())
 		}
@@ -178,6 +184,60 @@ func (l *Library) Annotate() error {
 	// on the hazard sets just computed.
 	l.MatchIndex()
 	return nil
+}
+
+// structure is one exactly analysed cell structure: the hazard set of the
+// first cell with it, and whether that cell's BFF carried the top-level
+// complement its structureKey strips.
+type structure struct {
+	set *hazard.Set
+	inv bool
+}
+
+// exactHazards returns the cell's exact hazard set. A read-once cell goes
+// straight to the analysis, which returns at once. A cell that repeats a
+// literal is looked up in analysed by its structureKey: the first cell
+// with a key is analysed, and each later one gets its own copy of that
+// set, through the inverted-output rule of Set.Translate when exactly one
+// of the two carries the top-level complement.
+func (c *Cell) exactHazards(analysed map[string]structure) (*hazard.Set, error) {
+	n := c.NumPins()
+	if c.Fn.Root.NumLiterals() <= n {
+		return hazard.AnalyzeShared(c.Fn, c.SharedMask())
+	}
+	key, inv, ok := c.structureKey()
+	if !ok {
+		return hazard.AnalyzeShared(c.Fn, c.SharedMask())
+	}
+	if s, ok := analysed[key]; ok {
+		return s.set.Translate(hazard.Binding{Perm: identityPerm(n), InvOut: s.inv != inv}, n), nil
+	}
+	set, err := hazard.AnalyzeShared(c.Fn, c.SharedMask())
+	if err != nil {
+		return nil, err
+	}
+	analysed[key] = structure{set: set, inv: inv}
+	return set, nil
+}
+
+// structureKey returns the key of the cell's structure up to a top-level
+// complement: Expr.AppendKey of the BFF with one top-level NOT removed,
+// plus the shared-pin mask. inv reports whether the NOT was there. The
+// key names each leaf by its first-appearance position, so it names it by
+// pin index only when Fn.Vars is that order, as for cells built by Add;
+// ok is false for any other cell.
+func (c *Cell) structureKey() (key string, inv, ok bool) {
+	root := c.Fn.Root
+	if root.Op == bexpr.OpNot {
+		root, inv = root.Kids[0], true
+	}
+	if !slices.Equal(root.CollectVars(nil), c.Fn.Vars) {
+		return "", false, false
+	}
+	b, _ := root.AppendKey(nil)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, c.SharedMask(), 16)
+	return string(b), inv, true
 }
 
 // IndexedCell pairs a library cell with its prebuilt Boolean matcher —
@@ -298,14 +358,23 @@ func (c *Cell) symClasses(annotated bool) []int {
 // translates the hazard set identically up to the orbit's own relabeling,
 // so hazard acceptance is decided once per orbit.
 func (c *Cell) hazardSwapInvariant(u, v int) bool {
+	if c.Hazards.Empty() {
+		return true
+	}
 	n := c.NumPins()
+	perm := identityPerm(n)
+	perm[u], perm[v] = v, u
+	swapped := c.Hazards.Translate(hazard.Binding{Perm: perm}, n)
+	return swapped.Equal(c.Hazards)
+}
+
+// identityPerm returns the identity pin permutation of n pins.
+func identityPerm(n int) []int {
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	perm[u], perm[v] = v, u
-	swapped := c.Hazards.Translate(hazard.Binding{Perm: perm}, n)
-	return swapped.Equal(c.Hazards)
+	return perm
 }
 
 // HazardousCells returns the annotated cells that contain logic hazards,

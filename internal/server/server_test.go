@@ -23,8 +23,10 @@ const (
 	fig3Blif = ".model fig3\n.inputs a b c\n.outputs f\n.names a b c f\n11- 1\n0-1 1\n-11 1\n.end\n"
 )
 
-// slowEqn builds a design with n structurally similar cones, big enough
-// to outlive a millisecond-scale deadline.
+// slowEqn builds a design with n similar cones, big enough to outlive a
+// millisecond-scale deadline. A run covers each distinct cone structure
+// once, so every output past the first adds its own product term
+// (ownTerm) and no two cones share a structure.
 func slowEqn(n int) string {
 	var b strings.Builder
 	b.WriteString("INPUT(a,b,c,d,e,g,h,i)\nOUTPUT(")
@@ -36,9 +38,29 @@ func slowEqn(n int) string {
 	}
 	b.WriteString(")\n")
 	for k := 0; k < n; k++ {
-		fmt.Fprintf(&b, "f%d = (a*b + c*d)*(e + g') + (a'*c + b*d')*(h + i') + b*c*(e' + h');\n", k)
+		fmt.Fprintf(&b, "f%d = (a*b + c*d)*(e + g') + (a'*c + b*d')*(h + i') + b*c*(e' + h')%s;\n", k, ownTerm(k))
 	}
 	return b.String()
+}
+
+// ownTerm returns the extra product term of output k: " + " and one
+// literal per binary digit of k over the inputs a, b, c, …, complemented
+// where the digit is 1, so the term's width and complements spell k. It is
+// empty for k = 0 and defined for k < 256.
+func ownTerm(k int) string {
+	inputs := []string{"a", "b", "c", "d", "e", "g", "h", "i"}
+	var lits []string
+	for j := 0; k>>j != 0; j++ {
+		lit := inputs[j]
+		if k>>j&1 == 1 {
+			lit += "'"
+		}
+		lits = append(lits, lit)
+	}
+	if len(lits) == 0 {
+		return ""
+	}
+	return " + " + strings.Join(lits, "*")
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
