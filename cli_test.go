@@ -273,18 +273,21 @@ func TestCLIAsyncmapTrace(t *testing.T) {
 	if code != 0 {
 		t.Fatal("untraced run failed")
 	}
-	netlistOf := func(out string) string {
-		var keep []string
-		for _, ln := range strings.Split(out, "\n") {
-			if !strings.HasPrefix(ln, "#") {
-				keep = append(keep, ln)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
 	if netlistOf(stdout) != netlistOf(plain) {
 		t.Errorf("tracing perturbed the netlist:\n%s\nvs\n%s", netlistOf(stdout), netlistOf(plain))
 	}
+}
+
+// netlistOf drops the "#" comment lines from asyncmap's standard output,
+// leaving the netlist.
+func netlistOf(out string) string {
+	var keep []string
+	for _, ln := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(ln, "#") {
+			keep = append(keep, ln)
+		}
+	}
+	return strings.Join(keep, "\n")
 }
 
 // TestCLITracelintRejects: the schema checker must fail on malformed
@@ -389,15 +392,6 @@ func TestCLIAsyncmapCPUProfile(t *testing.T) {
 	plain, _, code := runSplit(t, "asyncmap", fig3Eqn, "-lib", "Actel")
 	if code != 0 {
 		t.Fatal("unprofiled run failed")
-	}
-	netlistOf := func(out string) string {
-		var keep []string
-		for _, ln := range strings.Split(out, "\n") {
-			if !strings.HasPrefix(ln, "#") {
-				keep = append(keep, ln)
-			}
-		}
-		return strings.Join(keep, "\n")
 	}
 	if !strings.Contains(plain, "INPUT(") || netlistOf(profiled) != netlistOf(plain) {
 		t.Errorf("profiling perturbed the netlist:\n%s\nvs\n%s", netlistOf(profiled), netlistOf(plain))
