@@ -64,7 +64,7 @@ func main() {
 		maxTO    = flag.Duration("maxtimeout", 5*time.Minute, "cap on client-requested deadlines")
 		maxBody  = flag.Int64("maxbody", 8<<20, "request body size limit in bytes")
 		workers  = flag.Int("workers", 0, "DP worker goroutines per request (0 = one per CPU)")
-		pprofOn  = flag.Bool("pprof", false, "serve /debug/pprof/")
+		pprofOn  = flag.Bool("pprof", false, "serve /debug/pprof/ and label the mapping work (worker, cone, request) in CPU profiles")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		storeTo  = flag.String("store", "", "path of the persistent cone-solution store (empty = disabled); created if missing, shared across restarts")
 		storeMem = flag.Int("store-mem", 0, "in-memory entries the store may hold (0 = default)")

@@ -22,42 +22,22 @@ import (
 	"strings"
 )
 
-// GateThresholds bounds how much worse a fresh report may be before the
-// gate fails. Ratios are fresh/baseline; zero fields get the defaults.
-type GateThresholds struct {
-	// MaxWallRatio gates best-of-runs wall time; 0 means 1.5 (noise from
-	// shared CI runners needs generous headroom).
-	MaxWallRatio float64
-	// WallFloorMS exempts designs from the wall gate while both sides
-	// map in under this many milliseconds — scheduler noise dominates
-	// sub-floor timings and a ratio on them is meaningless; 0 means 10.
-	WallFloorMS float64
-	// MaxAllocRatio gates allocations per mapping; 0 means 1.3.
-	MaxAllocRatio float64
-	// MaxAreaRatio and MaxDelayRatio gate mapped QoR. The mapper is
-	// deterministic, so these are tight: 0 means 1.02 and 1.05.
-	MaxAreaRatio  float64
-	MaxDelayRatio float64
-}
-
-func (t GateThresholds) withDefaults() GateThresholds {
-	if t.MaxWallRatio <= 0 {
-		t.MaxWallRatio = 1.5
-	}
-	if t.WallFloorMS <= 0 {
-		t.WallFloorMS = 10
-	}
-	if t.MaxAllocRatio <= 0 {
-		t.MaxAllocRatio = 1.3
-	}
-	if t.MaxAreaRatio <= 0 {
-		t.MaxAreaRatio = 1.02
-	}
-	if t.MaxDelayRatio <= 0 {
-		t.MaxDelayRatio = 1.05
-	}
-	return t
-}
+// The gate's limits. Ratios are fresh/baseline.
+const (
+	// maxWallRatio gates best-of-runs wall time; noise from shared CI
+	// runners needs generous headroom.
+	maxWallRatio = 1.5
+	// wallFloorMS exempts designs from the wall gate while both sides map
+	// in under this many milliseconds: scheduler noise dominates sub-floor
+	// timings and a ratio on them is meaningless.
+	wallFloorMS = 10
+	// maxAllocRatio gates allocations per mapping.
+	maxAllocRatio = 1.15
+	// maxAreaRatio and maxDelayRatio gate mapped QoR. The mapper is
+	// deterministic, so these are tight.
+	maxAreaRatio  = 1.02
+	maxDelayRatio = 1.05
+)
 
 // Regression is one gated metric that got worse than its threshold
 // allows on one design, or one work counter that changed. Counters carry
@@ -89,8 +69,7 @@ func Comparable(a, b Fingerprint) bool {
 // CompareReports gates fresh against base, returning the regressions
 // past threshold and human-readable notes on what was (and was not)
 // compared. An empty regression list means the gate passes.
-func CompareReports(base, fresh *Report, th GateThresholds) ([]Regression, []string) {
-	th = th.withDefaults()
+func CompareReports(base, fresh *Report) ([]Regression, []string) {
 	var regs []Regression
 	var notes []string
 
@@ -141,11 +120,11 @@ func CompareReports(base, fresh *Report, th GateThresholds) ([]Regression, []str
 				}
 			}
 		}
-		check("area", b.Area, f.Area, th.MaxAreaRatio)
-		check("delay", b.Delay, f.Delay, th.MaxDelayRatio)
-		check("allocs_per_op", float64(b.AllocsPerOp), float64(f.AllocsPerOp), th.MaxAllocRatio)
-		if wallOK && (b.WallMS >= th.WallFloorMS || f.WallMS >= th.WallFloorMS) {
-			check("wall_ms", b.WallMS, f.WallMS, th.MaxWallRatio)
+		check("area", b.Area, f.Area, maxAreaRatio)
+		check("delay", b.Delay, f.Delay, maxDelayRatio)
+		check("allocs_per_op", float64(b.AllocsPerOp), float64(f.AllocsPerOp), maxAllocRatio)
+		if wallOK && (b.WallMS >= wallFloorMS || f.WallMS >= wallFloorMS) {
+			check("wall_ms", b.WallMS, f.WallMS, maxWallRatio)
 		}
 	}
 	for name := range baseBy {

@@ -40,17 +40,17 @@ func TestCompareReportsCatchesRegressions(t *testing.T) {
 		DesignReport{Design: "a", Area: 100, Delay: 10, WallMS: 21, AllocsPerOp: 1010},
 		DesignReport{Design: "b", Area: 49, Delay: 8, WallMS: 4, AllocsPerOp: 380},
 	)
-	if regs, _ := CompareReports(base, clean, GateThresholds{}); len(regs) != 0 {
+	if regs, _ := CompareReports(base, clean); len(regs) != 0 {
 		t.Fatalf("clean report flagged: %v", regs)
 	}
 
 	bad := fakeReport("LSI9K",
 		// area +10% (limit 2%), wall 3x (limit 1.5x)
 		DesignReport{Design: "a", Area: 110, Delay: 10, WallMS: 60, AllocsPerOp: 1000},
-		// allocs 2x (limit 1.3x)
-		DesignReport{Design: "b", Area: 50, Delay: 8, WallMS: 5, AllocsPerOp: 800},
+		// allocs 1.2x (limit 1.15x)
+		DesignReport{Design: "b", Area: 50, Delay: 8, WallMS: 5, AllocsPerOp: 480},
 	)
-	regs, _ := CompareReports(base, bad, GateThresholds{})
+	regs, _ := CompareReports(base, bad)
 	for _, want := range []struct{ design, metric string }{
 		{"a", "area"}, {"a", "wall_ms"}, {"b", "allocs_per_op"},
 	} {
@@ -66,20 +66,20 @@ func TestCompareReportsCatchesRegressions(t *testing.T) {
 	}
 }
 
-// The deterministic work counters gate by exact equality, whatever the
-// thresholds: one extra hazard check fails the gate. Counters outside
-// Stats.Deterministic() (cache hits, phase times) are not gated.
+// The deterministic work counters gate by exact equality: one extra
+// hazard check fails the gate. Counters outside Stats.Deterministic()
+// (cache hits, phase times) are not gated.
 func TestCompareReportsGatesWorkCounters(t *testing.T) {
 	st := core.Stats{Cones: 3, ClustersEnumerated: 40, HazardChecks: 7, HazCacheHits: 2, CoverTime: time.Millisecond}
 	base := fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: st})
 	noisy := st
 	noisy.HazCacheHits, noisy.HazCacheMisses, noisy.CoverTime = 0, 9, time.Second
-	if regs, _ := CompareReports(base, fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: noisy}), GateThresholds{}); len(regs) != 0 {
+	if regs, _ := CompareReports(base, fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: noisy})); len(regs) != 0 {
 		t.Errorf("non-deterministic counters gated: %v", regs)
 	}
 	extra := st
 	extra.HazardChecks++
-	regs, _ := CompareReports(base, fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: extra}), GateThresholds{})
+	regs, _ := CompareReports(base, fakeReport("LSI9K", DesignReport{Design: "a", Area: 10, Stats: extra}))
 	if r := findReg(regs, "a", "stats.HazardChecks"); len(regs) != 1 || r == nil || r.Base != 7 || r.Fresh != 8 {
 		t.Errorf("one extra hazard check: regressions %v", regs)
 	}
@@ -96,7 +96,7 @@ func TestCompareReportsWallFloor(t *testing.T) {
 		DesignReport{Design: "tiny", Area: 10, WallMS: 3},
 		DesignReport{Design: "blown", Area: 10, WallMS: 50},
 	)
-	regs, _ := CompareReports(base, fresh, GateThresholds{})
+	regs, _ := CompareReports(base, fresh)
 	if findReg(regs, "tiny", "wall_ms") != nil {
 		t.Errorf("sub-floor noise gated: %v", regs)
 	}
@@ -112,7 +112,7 @@ func TestCompareReportsSkipsWallAcrossMachines(t *testing.T) {
 	base.Fingerprint.GOARCH = "otherarch"
 	base.Fingerprint.NumCPU = 999
 	fresh := fakeReport("LSI9K", DesignReport{Design: "a", Area: 300, Delay: 10, WallMS: 100, AllocsPerOp: 100})
-	regs, notes := CompareReports(base, fresh, GateThresholds{})
+	regs, notes := CompareReports(base, fresh)
 	if findReg(regs, "a", "wall_ms") != nil {
 		t.Errorf("wall gated across incomparable fingerprints: %v", regs)
 	}
@@ -134,7 +134,7 @@ func TestCompareReportsSkipsWallAcrossMachines(t *testing.T) {
 func TestCompareReportsDifferentLibraries(t *testing.T) {
 	base := fakeReport("LSI9K", DesignReport{Design: "a", Area: 1})
 	fresh := fakeReport("CMOS3", DesignReport{Design: "a", Area: 100})
-	regs, notes := CompareReports(base, fresh, GateThresholds{})
+	regs, notes := CompareReports(base, fresh)
 	if len(regs) != 0 || len(notes) == 0 {
 		t.Errorf("cross-library gate ran: regs=%v notes=%v", regs, notes)
 	}
@@ -151,7 +151,7 @@ func TestCompareReportsCorpusDrift(t *testing.T) {
 		DesignReport{Design: "kept", Area: 10, WallMS: 1},
 		DesignReport{Design: "added", Area: 10, WallMS: 1},
 	)
-	regs, notes := CompareReports(base, fresh, GateThresholds{})
+	regs, notes := CompareReports(base, fresh)
 	if len(regs) != 0 {
 		t.Fatalf("drift flagged as regression: %v", regs)
 	}

@@ -83,9 +83,9 @@ type DesignReport struct {
 	StoreHitRate    float64 `json:"store_hit_rate"`
 
 	Stats core.Stats `json:"stats"`
-	// Histograms carries the core.Metric* distributions for this design
-	// (hazard-analysis latency in seconds, per-cone covering latency,
-	// cuts per node, cluster leaf widths).
+	// Histograms is the design's registry snapshot of histograms: the
+	// core.Metric* distributions (hazard-analysis latency in seconds,
+	// per-cone covering latency, cuts per node, cluster leaf widths).
 	Histograms map[string]obs.HistSnapshot `json:"histograms"`
 	// HazardP50 / HazardP99 are bucket-quantile estimates of the
 	// hazard-analysis latency in seconds, duplicated out of Histograms
@@ -192,34 +192,24 @@ func benchDesign(d *Design, lib *library.Library, runs int) (DesignReport, error
 			bestBytes = after.TotalAlloc - before.TotalAlloc
 		}
 	}
-	snap := reg.Snapshot()
-	hists := map[string]obs.HistSnapshot{
-		core.MetricHazardSeconds: snap.Histograms[core.MetricHazardSeconds],
-		core.MetricConeSeconds:   snap.Histograms[core.MetricConeSeconds],
-		core.MetricCutsPerNode:   snap.Histograms[core.MetricCutsPerNode],
-		core.MetricClusterLeaves: snap.Histograms[core.MetricClusterLeaves],
-	}
+	hists := reg.Snapshot().Histograms
 	haz := hists[core.MetricHazardSeconds]
 	st := res.Stats
-	hazHits := float64(st.HazCacheLocalHits + st.HazCacheHits)
-	hazTotal := hazHits + float64(st.HazCacheMisses)
 	storeTotal := float64(st.StoreHits + st.StoreMisses)
 	dr := DesignReport{
-		Design:      d.Name,
-		Slices:      d.Slices,
-		Gates:       res.Netlist.GateCount(),
-		Area:        res.Area,
-		Delay:       res.Delay,
-		WallMS:      float64(bestWall) / float64(time.Millisecond),
-		AllocsPerOp: bestAllocs,
-		BytesPerOp:  bestBytes,
-		Stats:       st,
-		Histograms:  hists,
-		HazardP50:   haz.Quantile(0.50),
-		HazardP99:   haz.Quantile(0.99),
-	}
-	if hazTotal > 0 {
-		dr.HazCacheHitRate = hazHits / hazTotal
+		Design:          d.Name,
+		Slices:          d.Slices,
+		Gates:           res.Netlist.GateCount(),
+		Area:            res.Area,
+		Delay:           res.Delay,
+		WallMS:          float64(bestWall) / float64(time.Millisecond),
+		AllocsPerOp:     bestAllocs,
+		BytesPerOp:      bestBytes,
+		HazCacheHitRate: st.HazCacheHitRate(),
+		Stats:           st,
+		Histograms:      hists,
+		HazardP50:       haz.Quantile(0.50),
+		HazardP99:       haz.Quantile(0.99),
 	}
 	if storeTotal > 0 {
 		dr.StoreHitRate = float64(st.StoreHits) / storeTotal

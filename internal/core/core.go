@@ -98,9 +98,6 @@ type Options struct {
 	// cluster (the widest cell pin count worth matching). Zero means the
 	// default of 6.
 	MaxLeaves int
-	// MaxBindings bounds how many alternative pin bindings are examined
-	// for a hazardous cell before giving up on it. Zero means 32.
-	MaxBindings int
 	// Workers sets the number of goroutines used to run the per-cone
 	// covering DP; emission stays serial and the result is bit-identical
 	// to a single-worker run, whatever the worker count. Zero (the
@@ -168,14 +165,16 @@ func (o Options) withDefaults() Options {
 	if o.MaxLeaves == 0 {
 		o.MaxLeaves = 6
 	}
-	if o.MaxBindings == 0 {
-		o.MaxBindings = 32
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
 	return o
 }
+
+// maxBindings bounds how many hazard-rejected pin bindings of one
+// hazardous cell the matching filter examines before giving up on the
+// cell; accepted bindings never count toward it.
+const maxBindings = 32
 
 // Metric names populated into Options.Metrics by Map. Histograms use
 // seconds for latencies and raw counts for sizes.
@@ -271,39 +270,91 @@ type Stats struct {
 	EmitTime      time.Duration
 }
 
-// merge folds a worker's counters into the receiver. Phase times are
-// measured only by the coordinating mapper and are not merged.
+// counterClass says where a Stats work counter is counted and whether
+// the deterministic view keeps it.
+type counterClass uint8
+
+const (
+	// perCone counters depend only on the cone: a cone's delta is stored
+	// with its mapstore solution, in table order, and repeated for every
+	// cone that shares its cover.
+	perCone counterClass = iota
+	// perRun counters are set once by the coordinating mapper.
+	perRun
+	// scheduling counters depend on cache and store warmth and on worker
+	// scheduling, so Deterministic zeroes them.
+	scheduling
+)
+
+// WorkCounter describes one work counter of Stats: its registry counter
+// name and its attribute on the per-cone "cone" span ("" for none).
+type WorkCounter struct {
+	Metric string
+	Span   string
+	class  counterClass
+}
+
+// WorkCounters lists the int fields of Stats in field order;
+// Stats.Counts returns them in the same order.
+var WorkCounters = [...]WorkCounter{
+	{"map_cones", "", perRun},
+	{"map_clusters_enumerated", "clusters", perCone},
+	{"map_matches_found", "matches", perCone},
+	{"map_hazardous_matches", "", perCone},
+	{"map_hazard_checks", "", perCone},
+	{"map_matches_rejected", "rejected", perCone},
+	{"map_cut_truncations", "", perCone},
+	{"map_match_find_calls", "", perCone},
+	{"map_index_probes", "", perCone},
+	{"map_index_skipped_cells", "", perCone},
+	{"map_symmetry_pruned", "", perCone},
+	{"map_haz_local_hits", "haz_local_hits", perCone},
+	{"map_haz_shared_hits", "haz_shared_hits", scheduling},
+	{"map_haz_misses", "haz_misses", scheduling},
+	{"map_store_hits", "", scheduling},
+	{"map_store_misses", "", scheduling},
+}
+
+// Counts returns pointers to s's work counters, in WorkCounters order.
+func (s *Stats) Counts() [len(WorkCounters)]*int {
+	return [...]*int{&s.Cones, &s.ClustersEnumerated, &s.MatchesFound,
+		&s.HazardousMatches, &s.HazardChecks, &s.MatchesRejected,
+		&s.CutTruncations, &s.FindInvocations, &s.IndexProbes,
+		&s.IndexSkippedCells, &s.SymmetryPruned, &s.HazCacheLocalHits,
+		&s.HazCacheHits, &s.HazCacheMisses, &s.StoreHits, &s.StoreMisses}
+}
+
+// Phases names the pipeline's timed phases in order. Each is also the
+// name of the phase's span on the pipeline track.
+var Phases = [...]string{"decompose", "partition", "cover", "emit"}
+
+// PhaseTimes returns pointers to s's phase wall times, in Phases order.
+func (s *Stats) PhaseTimes() [len(Phases)]*time.Duration {
+	return [...]*time.Duration{&s.DecomposeTime, &s.PartitionTime, &s.CoverTime, &s.EmitTime}
+}
+
+// merge adds o's work counters to the receiver's. Cones and the phase
+// times are set only by the coordinating mapper, so they are zero in o.
 func (s *Stats) merge(o Stats) {
-	s.ClustersEnumerated += o.ClustersEnumerated
-	s.MatchesFound += o.MatchesFound
-	s.HazardousMatches += o.HazardousMatches
-	s.HazardChecks += o.HazardChecks
-	s.MatchesRejected += o.MatchesRejected
-	s.CutTruncations += o.CutTruncations
-	s.FindInvocations += o.FindInvocations
-	s.IndexProbes += o.IndexProbes
-	s.IndexSkippedCells += o.IndexSkippedCells
-	s.SymmetryPruned += o.SymmetryPruned
-	s.HazCacheLocalHits += o.HazCacheLocalHits
-	s.HazCacheHits += o.HazCacheHits
-	s.HazCacheMisses += o.HazCacheMisses
-	s.StoreHits += o.StoreHits
-	s.StoreMisses += o.StoreMisses
+	dst, src := s.Counts(), o.Counts()
+	for i, c := range dst {
+		*c += *src[i]
+	}
 }
 
 // Deterministic returns the counters that are invariant across worker
-// counts and cache state, zeroing the scheduling-dependent cache split and
+// counts and cache state, zeroing the scheduling-dependent counters and
 // the wall-clock times. Two runs of the same mapping must agree on this
 // view exactly.
 func (s Stats) Deterministic() Stats {
-	s.HazCacheHits = 0
-	s.HazCacheMisses = 0
-	s.StoreHits = 0
-	s.StoreMisses = 0
-	s.DecomposeTime = 0
-	s.PartitionTime = 0
-	s.CoverTime = 0
-	s.EmitTime = 0
+	for i, c := range s.Counts() {
+		if WorkCounters[i].class == scheduling {
+			*c = 0
+		}
+	}
+	for _, t := range s.PhaseTimes() {
+		*t = 0
+	}
 	return s
 }
 
@@ -361,9 +412,10 @@ func Map(net *network.Network, lib *library.Library, opts Options) (res *Result,
 // opts must already have defaults applied, so explicit defaults and zero
 // values hash alike.
 func optionHash(o Options) string {
-	// The last field is a removed option, kept so older store entries stay warm.
-	return fmt.Sprintf("mode=%d;obj=%d;depth=%d;leaves=%d;bindings=%d;burst=%d;noindex=false",
-		o.Mode, o.Objective, o.MaxDepth, o.MaxLeaves, o.MaxBindings, o.MaxBurst)
+	// bindings and noindex were options once; their fixed values stay in
+	// the hash so older store entries stay warm.
+	return fmt.Sprintf("mode=%d;obj=%d;depth=%d;leaves=%d;bindings=32;burst=%d;noindex=false",
+		o.Mode, o.Objective, o.MaxDepth, o.MaxLeaves, o.MaxBurst)
 }
 
 func mapPipeline(net *network.Network, lib *library.Library, opts Options) (*Result, error) {
@@ -491,22 +543,9 @@ func mapPipeline(net *network.Network, lib *library.Library, opts Options) (*Res
 // publishStats mirrors the run's deterministic summary into the metrics
 // registry, alongside the histograms the mapper filled during the run.
 func publishStats(reg *obs.Registry, st Stats, gates int, area, delay float64) {
-	reg.Counter("map_cones").Add(uint64(st.Cones))
-	reg.Counter("map_clusters_enumerated").Add(uint64(st.ClustersEnumerated))
-	reg.Counter("map_matches_found").Add(uint64(st.MatchesFound))
-	reg.Counter("map_hazardous_matches").Add(uint64(st.HazardousMatches))
-	reg.Counter("map_hazard_checks").Add(uint64(st.HazardChecks))
-	reg.Counter("map_matches_rejected").Add(uint64(st.MatchesRejected))
-	reg.Counter("map_cut_truncations").Add(uint64(st.CutTruncations))
-	reg.Counter("map_match_find_calls").Add(uint64(st.FindInvocations))
-	reg.Counter("map_index_probes").Add(uint64(st.IndexProbes))
-	reg.Counter("map_index_skipped_cells").Add(uint64(st.IndexSkippedCells))
-	reg.Counter("map_symmetry_pruned").Add(uint64(st.SymmetryPruned))
-	reg.Counter("map_haz_local_hits").Add(uint64(st.HazCacheLocalHits))
-	reg.Counter("map_haz_shared_hits").Add(uint64(st.HazCacheHits))
-	reg.Counter("map_haz_misses").Add(uint64(st.HazCacheMisses))
-	reg.Counter("map_store_hits").Add(uint64(st.StoreHits))
-	reg.Counter("map_store_misses").Add(uint64(st.StoreMisses))
+	for i, c := range st.Counts() {
+		reg.Counter(WorkCounters[i].Metric).Add(uint64(*c))
+	}
 	reg.Gauge("map_gates").Set(float64(gates))
 	reg.Gauge("map_area").Set(area)
 	reg.Gauge("map_delay").Set(delay)

@@ -274,7 +274,7 @@ f = a*b + a'*c + b*c;
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxDepth != 5 || o.MaxLeaves != 6 || o.MaxBindings != 32 {
+	if o.MaxDepth != 5 || o.MaxLeaves != 6 {
 		t.Errorf("bad defaults: %+v", o)
 	}
 	if o.Workers != runtime.NumCPU() {

@@ -306,15 +306,14 @@ func (m *mapper) prepareCone(cone network.Cone, ck string) (*preparedCone, error
 	if m.met.coneSeconds != nil {
 		m.met.coneSeconds.Observe(time.Since(t0).Seconds())
 	}
-	d := m.stats
 	sp.SetStr("cone", cone.Root)
 	sp.SetInt("nodes", int64(len(cm.nodes)))
-	sp.SetInt("clusters", int64(d.ClustersEnumerated-st0.ClustersEnumerated))
-	sp.SetInt("matches", int64(d.MatchesFound-st0.MatchesFound))
-	sp.SetInt("rejected", int64(d.MatchesRejected-st0.MatchesRejected))
-	sp.SetInt("haz_local_hits", int64(d.HazCacheLocalHits-st0.HazCacheLocalHits))
-	sp.SetInt("haz_shared_hits", int64(d.HazCacheHits-st0.HazCacheHits))
-	sp.SetInt("haz_misses", int64(d.HazCacheMisses-st0.HazCacheMisses))
+	now, before := m.stats.Counts(), st0.Counts()
+	for i, c := range WorkCounters {
+		if c.Span != "" {
+			sp.SetInt(c.Span, int64(*now[i]-*before[i]))
+		}
+	}
 	sp.End()
 	return &preparedCone{cm: cm, root: root, work: &work}, nil
 }
@@ -885,7 +884,6 @@ type matchCtx struct {
 	filter   bool // the asynchronous hazard filter applies to cell
 	varNodes []int
 	rejected int
-	maxB     int
 
 	// Per-cut lazy hazard-key cache; beginCut invalidates it.
 	fnStr  string
@@ -937,7 +935,7 @@ func (cm *coneMapper) replay(id, phase int, fn *bexpr.Function, list library.Mat
 		}
 		mc.cell, mc.mt = ic.Cell, ic.Matcher
 		mc.filter = cm.m.opts.Mode == Async && ic.Cell.Hazardous()
-		mc.rejected, mc.maxB = 0, cm.m.opts.MaxBindings
+		mc.rejected = 0
 		for j := 0; j < bindings && mc.Visit(list.Binding(i, j)); j++ {
 		}
 	}
@@ -964,14 +962,14 @@ func (mc *matchCtx) Visit(b hazard.Binding) bool {
 		cm.m.stats.HazardousMatches++
 		if !cm.hazardSubsetOK(mc.fn, mc.phase, mc.cell, b, mc.hazKey(mc.phase)) {
 			cm.m.stats.MatchesRejected++
-			// MaxBindings bounds how many hazard-rejected bindings are
+			// maxBindings bounds how many hazard-rejected bindings are
 			// examined before giving up on a hazardous cell; accepted
 			// bindings never count toward the limit. Every binding visited
 			// here is its orbit's representative, so the limit counts
 			// orbits: an unpruned search gives up at the same frontier by
 			// counting only representatives (dp_ref_test.go).
 			mc.rejected++
-			return mc.rejected < mc.maxB
+			return mc.rejected < maxBindings
 		}
 	}
 	// Cost: cell area plus the cost of each cluster input in the phase
@@ -1000,7 +998,7 @@ func (mc *matchCtx) Visit(b hazard.Binding) bool {
 		ch.cell, ch.binding = mc.cell, b
 		ch.varNode = append(ch.varNode[:0], mc.varNodes...)
 	}
-	return mc.rejected < mc.maxB
+	return mc.rejected < maxBindings
 }
 
 // newChoice returns a fresh match-choice slot from the cone's choice

@@ -32,7 +32,7 @@ type refMatcher struct{ sym, full *match.Matcher }
 
 // refMatch selects the reference DP's matcher. With probeAll, every cell
 // of the cluster's pin count gets a search of every binding, and
-// MaxBindings counts only orbit representatives among the rejected ones.
+// maxBindings counts only orbit representatives among the rejected ones.
 // Otherwise the index candidates get one binding per orbit, as in
 // production, so every work counter must agree as well. Searches never
 // nest, so they share one scratch.
@@ -300,13 +300,12 @@ func (cm *coneMapper) clusterFunctionSlow(root int, cut []int) (*bexpr.Function,
 // tryCellSlow is the reference for matching one cell against a cluster
 // target, which production replays from the library's match memo: one
 // closure per search, run on the spot. With rm.probeAll it visits every
-// member of every orbit, and counts a rejected binding toward MaxBindings
+// member of every orbit, and counts a rejected binding toward maxBindings
 // only when it is its orbit's representative.
 func (cm *coneMapper) tryCellSlow(id, phase int, fn *bexpr.Function, target truthtab.TT, tsig truthtab.SigVector, cell *library.Cell, varNodes []int, rm *refMatch) {
 	n := &cm.nodes[id]
 	mt, pruned := rm.cells[cell], !rm.probeAll
 	rejected := 0
-	maxB := cm.m.opts.MaxBindings
 	key := ""
 	demand := make([]int, len(varNodes))
 	visit := func(b hazard.Binding) bool {
@@ -324,7 +323,7 @@ func (cm *coneMapper) tryCellSlow(id, phase int, fn *bexpr.Function, target trut
 				if pruned || mt.sym.Representative(b.Perm) {
 					rejected++
 				}
-				return rejected < maxB
+				return rejected < maxBindings
 			}
 		}
 		c := cost{area: cell.Area, delay: 0}
@@ -351,7 +350,7 @@ func (cm *coneMapper) tryCellSlow(id, phase int, fn *bexpr.Function, target trut
 				varNode: append([]int(nil), varNodes...),
 			}
 		}
-		return rejected < maxB
+		return rejected < maxBindings
 	}
 	search := mt.full
 	if pruned {

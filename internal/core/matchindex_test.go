@@ -51,7 +51,7 @@ z = (u*e)' + d*f;
 	}
 }
 
-// MaxBindings bounds hazard-rejected bindings only: a hazard-free cell
+// maxBindings bounds hazard-rejected bindings only: a hazard-free cell
 // must have its whole binding space enumerated, even when the cheapest
 // input-phase assignment appears far past the 32nd binding. The cell's
 // XOR head matches the target under inv(a,b) ∈ {00, 11}; the 00 family is
@@ -98,15 +98,15 @@ func TestMaxBindingsCountsOnlyRejectedBindings(t *testing.T) {
 			t.Fatalf("pruned=%v: no choice recorded", pruned)
 		}
 		if ch.binding.InvIn != 0b11 {
-			t.Errorf("pruned=%v: chose InvIn=%b, want the cheap 11 family — MaxBindings truncated a hazard-free cell",
+			t.Errorf("pruned=%v: chose InvIn=%b, want the cheap 11 family — maxBindings truncated a hazard-free cell",
 				pruned, ch.binding.InvIn)
 		}
 		if want := cell.Area + 2; cm.nodes[root].cost[phasePos].area != want {
 			t.Errorf("pruned=%v: best area %.1f, want %.1f", pruned, cm.nodes[root].cost[phasePos].area, want)
 		}
-		if !pruned && m.stats.MatchesFound <= m.opts.MaxBindings {
+		if !pruned && m.stats.MatchesFound <= maxBindings {
 			t.Errorf("enumeration stopped after %d bindings without any rejection (limit %d misapplied)",
-				m.stats.MatchesFound, m.opts.MaxBindings)
+				m.stats.MatchesFound, maxBindings)
 		}
 	}
 }

@@ -35,36 +35,29 @@ const solutionVersion = 1
 
 var errBadSolution = errors.New("core: invalid cone solution")
 
-// solutionStats lists, in encoding order, the Stats counters that are
-// deterministic per cone and therefore stored and replayed with its
-// solution.
-func solutionStats(s *Stats) []*int {
-	return []*int{
-		&s.ClustersEnumerated, &s.MatchesFound, &s.HazardousMatches,
-		&s.HazardChecks, &s.MatchesRejected, &s.CutTruncations,
-		&s.FindInvocations, &s.IndexProbes, &s.IndexSkippedCells,
-		&s.SymmetryPruned, &s.HazCacheLocalHits,
-	}
-}
-
-// statsDelta returns now − before on the per-cone deterministic counters.
+// statsDelta returns now − before on the per-cone counters, the ones a
+// solution stores and replays.
 func statsDelta(now, before Stats) Stats {
 	var d Stats
-	df, nf, bf := solutionStats(&d), solutionStats(&now), solutionStats(&before)
-	for i := range df {
-		*df[i] = *nf[i] - *bf[i]
+	dc, nc, bc := d.Counts(), now.Counts(), before.Counts()
+	for i, c := range dc {
+		if WorkCounters[i].class == perCone {
+			*c = *nc[i] - *bc[i]
+		}
 	}
 	return d
 }
 
 // encodeSolution serializes the solved choices of this cone's tree along
-// with the cone's deterministic stats delta.
+// with the cone's per-cone counters, in WorkCounters order.
 func (cm *coneMapper) encodeSolution(delta Stats) []byte {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, solutionVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(cm.nodes)))
-	for _, f := range solutionStats(&delta) {
-		buf = binary.AppendUvarint(buf, uint64(*f))
+	for i, c := range delta.Counts() {
+		if WorkCounters[i].class == perCone {
+			buf = binary.AppendUvarint(buf, uint64(*c))
+		}
 	}
 	for i := range cm.nodes {
 		for phase := 0; phase < 2; phase++ {
@@ -146,12 +139,15 @@ func (cm *coneMapper) applySolution(root int, data []byte) error {
 		return errBadSolution
 	}
 	var delta Stats
-	for _, f := range solutionStats(&delta) {
+	for i, c := range delta.Counts() {
+		if WorkCounters[i].class != perCone {
+			continue
+		}
 		u, err := r.uvarint()
 		if err != nil || u > 1<<40 {
 			return errBadSolution
 		}
-		*f = int(u)
+		*c = int(u)
 	}
 	choices := make([][2]*choice, len(cm.nodes))
 	for i := range cm.nodes {

@@ -18,7 +18,7 @@ package library
 //   - Only targets with at least one compatible cell are stored; an empty
 //     bucket is already answered by the index probe.
 //   - A fill runs the search to the end, never stopping where a visitor
-//     would, so one entry serves every mode, MaxBindings and MaxBurst.
+//     would, so one entry serves every mode and MaxBurst.
 //   - A fill polls its context and publishes nothing when cancelled.
 //   - An entry is one []int allocation, immutable once built. Every entry,
 //     stored or not, is a fresh heap allocation, never pooled scratch, so

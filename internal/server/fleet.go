@@ -119,7 +119,7 @@ func (f *fleetState) batchOutcomes(ctx context.Context, rid string, designs []Ma
 			Path:    "/map",
 			Body:    body,
 			Header:  fleetHeader(rid),
-			Timeout: f.s.timeoutFor(req) + fleetTransportSlack,
+			Timeout: f.s.timeoutFor(req.TimeoutMS) + fleetTransportSlack,
 		}
 	}
 	out := make(chan batchOutcome, len(designs))

@@ -380,7 +380,7 @@ func TestRetryAfterComputedFromLoad(t *testing.T) {
 
 	// Warm: ~4s p50, 6 requests deep over 2 lanes → at least ~12s.
 	for i := 0; i < 8; i++ {
-		s.roll.request.Observe(4.0)
+		s.roll[stageRequest].Observe(4.0)
 	}
 	s.queued.Add(4)
 	s.inflight.Add(2)
@@ -393,7 +393,7 @@ func TestRetryAfterComputedFromLoad(t *testing.T) {
 	// Clamp: a tiny MaxTimeout caps the hint.
 	s2 := newTestServer(t, Config{MaxConcurrent: 1, MaxTimeout: 3 * time.Second})
 	for i := 0; i < 8; i++ {
-		s2.roll.request.Observe(60.0)
+		s2.roll[stageRequest].Observe(60.0)
 	}
 	s2.queued.Add(10)
 	defer s2.queued.Add(-10)

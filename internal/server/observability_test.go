@@ -11,11 +11,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gfmap/internal/core"
 	"gfmap/internal/obs"
 )
 
@@ -39,7 +41,7 @@ func (b *syncBuffer) String() string {
 }
 
 // One request ID, visible everywhere: response header, response body,
-// the access-log line, and every pipeline trace span.
+// the access-log line, and every pipeline-track trace span.
 func TestRequestIDCorrelation(t *testing.T) {
 	var logBuf bytes.Buffer
 	tracer := obs.NewTracer(0)
@@ -87,34 +89,52 @@ func TestRequestIDCorrelation(t *testing.T) {
 		t.Errorf("access line elapsed_ms = %v", accessLine["elapsed_ms"])
 	}
 
-	// Every phase span the tracer recorded is stamped with the same ID.
-	var traceBuf bytes.Buffer
-	if err := tracer.WriteJSONL(&traceBuf); err != nil {
+	// Every pipeline-track span, one per phase, is stamped with the same
+	// ID; the per-cone spans on the worker tracks are not.
+	var phases []string
+	for _, sp := range traceSpans(t, tracer) {
+		if sp.Tid != obs.PipelineTrack {
+			continue
+		}
+		phases = append(phases, sp.Name)
+		if sp.Attrs["request_id"] != rid {
+			t.Errorf("pipeline span %s has request_id %v, want %s", sp.Name, sp.Attrs["request_id"], rid)
+		}
+	}
+	if !slices.Equal(phases, core.Phases[:]) {
+		t.Errorf("pipeline-track spans %v, want one per phase %v", phases, core.Phases)
+	}
+}
+
+// traceSpan is one span of a tracer's JSONL export.
+type traceSpan struct {
+	Ph    string         `json:"ph"`
+	Tid   int            `json:"tid"`
+	Name  string         `json:"name"`
+	Attrs map[string]any `json:"attrs"`
+}
+
+// traceSpans returns the spans the tracer recorded, in recording order.
+func traceSpans(t *testing.T, tr *obs.Tracer) []traceSpan {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	spans, stamped := 0, 0
-	for _, line := range strings.Split(strings.TrimSpace(traceBuf.String()), "\n") {
-		if line == "" {
-			continue
-		}
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
+	var spans []traceSpan
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var sp traceSpan
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
 			t.Fatalf("trace line is not JSON: %v\n%s", err, line)
 		}
-		if m["ph"] != "span" {
-			continue
-		}
-		spans++
-		if attrs, _ := m["attrs"].(map[string]any); attrs != nil && attrs["request_id"] == rid {
-			stamped++
+		if sp.Ph == "span" {
+			spans = append(spans, sp)
 		}
 	}
-	if spans == 0 {
+	if len(spans) == 0 {
 		t.Fatal("tracer recorded no spans")
 	}
-	if stamped == 0 {
-		t.Fatalf("no trace span carries request_id %s:\n%s", rid, traceBuf.String())
-	}
+	return spans
 }
 
 // A well-formed client-supplied X-Request-ID is honoured; a malformed
@@ -318,8 +338,8 @@ func TestMetricsPrometheus(t *testing.T) {
 		for _, want := range []string{
 			"# TYPE " + MetricRequests + " counter",
 			"# TYPE " + MetricRequestSeconds + " histogram",
-			"# TYPE " + RollingRequestSeconds + " summary",
-			RollingCoverSeconds + `{quantile="0.99"}`,
+			"# TYPE rolling_request_seconds summary",
+			`rolling_cover_seconds{quantile="0.99"}`,
 		} {
 			if !strings.Contains(string(body), want) {
 				t.Errorf("%s: exposition missing %q", tc.name, want)

@@ -65,7 +65,9 @@ type Config struct {
 	// MapWorkers is core.Options.Workers for every request; 0 means one
 	// per CPU (shared fairly by the admission limiter above).
 	MapWorkers int
-	// EnablePprof mounts net/http/pprof under /debug/pprof/.
+	// EnablePprof mounts net/http/pprof under /debug/pprof/ and sets
+	// core.Options.ProfileLabels on every served run, so CPU profiles
+	// carry the worker, cone and request labels.
 	EnablePprof bool
 	// Registry receives the server's and the mapper's metrics; nil means
 	// a fresh private registry (exposed at /metrics either way).
@@ -166,7 +168,7 @@ type Server struct {
 	mux    *http.ServeMux
 	logger *obs.Logger
 	start  time.Time
-	roll   rollingSet
+	roll   []*obs.RollingHistogram // one window per stage, in stages order
 
 	sem      chan struct{}
 	queued   atomic.Int64
@@ -200,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 		start:    time.Now(),
 		infTable: make(map[*inflightEntry]struct{}),
 	}
-	s.roll = newRollingSet(s.reg, cfg.StatusWindow)
+	s.roll = newRolling(s.reg, cfg.StatusWindow)
 	for _, name := range cfg.Libraries {
 		lib, err := library.Get(name) // cached + annotated
 		if err != nil {
@@ -316,7 +318,7 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			elapsed := time.Since(begin)
 			s.untrack(ent)
-			s.roll.request.Observe(elapsed.Seconds())
+			s.roll[stageRequest].Observe(elapsed.Seconds())
 			status := sw.status
 			if status == 0 {
 				status = http.StatusOK
@@ -370,7 +372,7 @@ func (s *Server) acquire(ctx context.Context) (func(), error) {
 	begin := time.Now()
 	select {
 	case s.sem <- struct{}{}:
-		s.roll.wait.Observe(time.Since(begin).Seconds())
+		s.roll[stageQueueWait].Observe(time.Since(begin).Seconds())
 		s.inflight.Add(1)
 		return func() {
 			s.inflight.Add(-1)
@@ -475,7 +477,7 @@ func (s *Server) writeBusy(w http.ResponseWriter, rid string, err error) {
 // rounded up and clamped to [1, MaxTimeout] seconds. A cold window (no
 // p50 yet) degrades to the old constant 1.
 func (s *Server) retryAfterSeconds() int {
-	p50 := s.roll.request.Snapshot().Quantile(0.50)
+	p50 := s.roll[stageRequest].Snapshot().Quantile(0.50)
 	depth := float64(s.queued.Load() + s.inflight.Load())
 	secs := int(math.Ceil(depth * p50 / float64(s.cfg.MaxConcurrent)))
 	if secs < 1 {
@@ -853,11 +855,11 @@ func mergeRequest(def, d MapRequest) MapRequest {
 	return d
 }
 
-// timeoutFor resolves a request's mapping deadline.
-func (s *Server) timeoutFor(req MapRequest) time.Duration {
+// timeoutFor resolves a request's mapping deadline from its timeout_ms.
+func (s *Server) timeoutFor(ms int) time.Duration {
 	d := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		d = time.Duration(req.TimeoutMS) * time.Millisecond
+	if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
 	}
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
@@ -865,15 +867,48 @@ func (s *Server) timeoutFor(req MapRequest) time.Duration {
 	return d
 }
 
-// resolvedRequest is a MapRequest after parsing and validation: the
-// design network, library and core options a mapping run needs.
-type resolvedRequest struct {
+// servedRun is what every served mapping run starts from: the library,
+// the core options the server sets and the deadline.
+type servedRun struct {
 	libName string
 	lib     *library.Library
-	net     *network.Network
 	opts    core.Options
-	output  string
 	timeout time.Duration
+}
+
+// newRun resolves a request's library (the first configured one when
+// libName is empty), its core options and its deadline. Runs carry CPU
+// profile labels exactly when the server can be profiled (EnablePprof).
+func (s *Server) newRun(ctx context.Context, libName string, timeoutMS int) (servedRun, error) {
+	if libName == "" {
+		libName = s.order[0]
+	}
+	lib, ok := s.libs[libName]
+	if !ok {
+		return servedRun{}, badInput(fmt.Errorf("unknown library %q (loaded: %s)", libName, strings.Join(s.order, ", ")))
+	}
+	return servedRun{
+		libName: libName,
+		lib:     lib,
+		opts: core.Options{
+			Workers:       s.cfg.MapWorkers,
+			HazardCache:   s.cfg.HazardCache,
+			Store:         s.cfg.Store,
+			Metrics:       s.reg,
+			Tracer:        s.cfg.Tracer,
+			ProfileLabels: s.cfg.EnablePprof,
+			RequestID:     RequestIDFromContext(ctx),
+		},
+		timeout: s.timeoutFor(timeoutMS),
+	}, nil
+}
+
+// resolvedRequest is a MapRequest after parsing and validation: the
+// design network and the run that maps it.
+type resolvedRequest struct {
+	servedRun
+	net    *network.Network
+	output string
 }
 
 // resolveRequest parses and validates one design request. Every error is
@@ -882,22 +917,15 @@ func (s *Server) resolveRequest(ctx context.Context, req MapRequest) (*resolvedR
 	if strings.TrimSpace(req.Design) == "" {
 		return nil, badInput(errors.New("empty design"))
 	}
-	libName := req.Library
-	if libName == "" {
-		libName = s.order[0]
-	}
-	lib, ok := s.libs[libName]
-	if !ok {
-		return nil, badInput(fmt.Errorf("unknown library %q (loaded: %s)", libName, strings.Join(s.order, ", ")))
+	run, err := s.newRun(ctx, req.Library, req.TimeoutMS)
+	if err != nil {
+		return nil, err
 	}
 	name := req.Name
 	if name == "" {
 		name = "design"
 	}
-	var (
-		net *network.Network
-		err error
-	)
+	var net *network.Network
 	switch req.Format {
 	case "", "blif":
 		net, err = blif.Parse(strings.NewReader(req.Design), name)
@@ -909,18 +937,9 @@ func (s *Server) resolveRequest(ctx context.Context, req MapRequest) (*resolvedR
 	if err != nil {
 		return nil, badInput(fmt.Errorf("parse %s design: %w", orDefault(req.Format, "blif"), err))
 	}
-	entryFrom(ctx).setDesign(net.Name, libName)
-	opts := core.Options{
-		MaxDepth:    req.MaxDepth,
-		MaxLeaves:   req.MaxLeaves,
-		MaxBurst:    req.MaxBurst,
-		Workers:     s.cfg.MapWorkers,
-		HazardCache: s.cfg.HazardCache,
-		Store:       s.cfg.Store,
-		Metrics:     s.reg,
-		Tracer:      s.cfg.Tracer,
-		RequestID:   RequestIDFromContext(ctx),
-	}
+	entryFrom(ctx).setDesign(net.Name, run.libName)
+	opts := &run.opts
+	opts.MaxDepth, opts.MaxLeaves, opts.MaxBurst = req.MaxDepth, req.MaxLeaves, req.MaxBurst
 	switch req.Mode {
 	case "", "async":
 		opts.Mode = core.Async
@@ -945,14 +964,7 @@ func (s *Server) resolveRequest(ctx context.Context, req MapRequest) (*resolvedR
 	default:
 		return nil, badInput(fmt.Errorf("unknown output %q (want netlist, verilog, both or none)", output))
 	}
-	return &resolvedRequest{
-		libName: libName,
-		lib:     lib,
-		net:     net,
-		opts:    opts,
-		output:  output,
-		timeout: s.timeoutFor(req),
-	}, nil
+	return &resolvedRequest{servedRun: run, net: net, output: output}, nil
 }
 
 // mapOne parses, maps and renders a single design under its deadline.
@@ -972,10 +984,7 @@ func (s *Server) mapOne(ctx context.Context, req MapRequest) (*MapResponse, erro
 		return nil, err
 	}
 	s.designs.Inc()
-	s.roll.decompose.Observe(res.Stats.DecomposeTime.Seconds())
-	s.roll.partition.Observe(res.Stats.PartitionTime.Seconds())
-	s.roll.cover.Observe(res.Stats.CoverTime.Seconds())
-	s.roll.emit.Observe(res.Stats.EmitTime.Seconds())
+	s.observeRun(res.Stats)
 	resp := &MapResponse{
 		RequestID: rr.opts.RequestID,
 		Name:      rr.net.Name,

@@ -8,60 +8,53 @@ package server
 import (
 	"context"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
+	"gfmap/internal/core"
 	"gfmap/internal/fleet"
 	"gfmap/internal/obs"
 )
 
-// Rolling metric names. The windows are registered into the server's
-// registry, so they also appear on /metrics (as Prometheus summaries and
-// in the JSON snapshot), not only on /statusz.
+// stages are the /statusz stages, in order: the whole handler, queue
+// wait included (request); time blocked on the admission semaphore
+// (queue_wait); the mapper's phase wall times from core.Stats; and the
+// /synth pipeline's bracketing phases, burst-mode synthesis before the
+// mapper and evidence simulation after it. Each stage has a rolling
+// window, registered into the server's registry as
+// rolling_<stage>_seconds, so it also appears on /metrics (as a
+// Prometheus summary and in the JSON snapshot), not only on /statusz.
+var stages = slices.Concat([]string{"request", "queue_wait"}, core.Phases[:], []string{"synthesize", "simulate"})
+
+// Indexes into stages.
 const (
-	RollingRequestSeconds    = "rolling_request_seconds"
-	RollingQueueWaitSeconds  = "rolling_queue_wait_seconds"
-	RollingDecomposeSeconds  = "rolling_decompose_seconds"
-	RollingPartitionSeconds  = "rolling_partition_seconds"
-	RollingCoverSeconds      = "rolling_cover_seconds"
-	RollingEmitSeconds       = "rolling_emit_seconds"
-	RollingSynthesizeSeconds = "rolling_synthesize_seconds"
-	RollingSimulateSeconds   = "rolling_simulate_seconds"
+	stageRequest = iota
+	stageQueueWait
+	stagePhases     // the first of core.Phases
+	stageSynthesize = stagePhases + len(core.Phases)
 )
 
-// rollingSet groups the per-stage rolling windows. request covers the
-// whole handler (queue wait included); wait isolates time spent blocked
-// on the admission semaphore; decompose..emit are the mapper's phase wall
-// times from core.Stats; synthesize and simulate are the /synth
-// pipeline's bracketing phases (burst-mode synthesis before the mapper,
-// evidence simulation after it).
-type rollingSet struct {
-	request    *obs.RollingHistogram
-	wait       *obs.RollingHistogram
-	decompose  *obs.RollingHistogram
-	partition  *obs.RollingHistogram
-	cover      *obs.RollingHistogram
-	emit       *obs.RollingHistogram
-	synthesize *obs.RollingHistogram
-	simulate   *obs.RollingHistogram
-}
-
-func newRollingSet(reg *obs.Registry, window time.Duration) rollingSet {
+// newRolling registers one rolling window per stage, in stages order.
+func newRolling(reg *obs.Registry, window time.Duration) []*obs.RollingHistogram {
 	// 100µs .. ~14min in ×2 steps: wide enough for both sub-millisecond
 	// emit phases and requests that ride the 5-minute timeout cap.
 	bounds := obs.ExpBuckets(1e-4, 2, 23)
-	mk := func(name string) *obs.RollingHistogram {
-		return reg.Rolling(name, bounds, window, 6)
+	roll := make([]*obs.RollingHistogram, len(stages))
+	for i, stage := range stages {
+		roll[i] = reg.Rolling("rolling_"+stage+"_seconds", bounds, window, 6)
 	}
-	return rollingSet{
-		request:    mk(RollingRequestSeconds),
-		wait:       mk(RollingQueueWaitSeconds),
-		decompose:  mk(RollingDecomposeSeconds),
-		partition:  mk(RollingPartitionSeconds),
-		cover:      mk(RollingCoverSeconds),
-		emit:       mk(RollingEmitSeconds),
-		synthesize: mk(RollingSynthesizeSeconds),
-		simulate:   mk(RollingSimulateSeconds),
+	return roll
+}
+
+// observeRun records a finished run's mapper phase times and then, for
+// /synth, its synthesize and simulate times.
+func (s *Server) observeRun(st core.Stats, synthTimes ...time.Duration) {
+	for i, t := range st.PhaseTimes() {
+		s.roll[stagePhases+i].Observe(t.Seconds())
+	}
+	for i, t := range synthTimes {
+		s.roll[stageSynthesize+i].Observe(t.Seconds())
 	}
 }
 
@@ -212,23 +205,17 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	resp := StatuszResponse{
 		UptimeSeconds: now.Sub(s.start).Seconds(),
-		WindowSeconds: s.roll.request.Window().Seconds(),
-		Stages: map[string]StageStats{
-			"request":    stageStats(s.roll.request),
-			"queue_wait": stageStats(s.roll.wait),
-			"decompose":  stageStats(s.roll.decompose),
-			"partition":  stageStats(s.roll.partition),
-			"cover":      stageStats(s.roll.cover),
-			"emit":       stageStats(s.roll.emit),
-			"synthesize": stageStats(s.roll.synthesize),
-			"simulate":   stageStats(s.roll.simulate),
-		},
+		WindowSeconds: s.roll[stageRequest].Window().Seconds(),
+		Stages:        make(map[string]StageStats, len(stages)),
 		Admission: AdmissionStatus{
 			Inflight:      s.inflight.Load(),
 			Queued:        s.queued.Load(),
 			MaxConcurrent: s.cfg.MaxConcurrent,
 			MaxQueue:      s.cfg.MaxQueue,
 		},
+	}
+	for i, stage := range stages {
+		resp.Stages[stage] = stageStats(s.roll[i])
 	}
 	resp.MatchMemo = make(map[string]MemoStatus, len(s.order))
 	for _, name := range s.order {

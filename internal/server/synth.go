@@ -155,19 +155,22 @@ func (s *Server) decodeSynthRequest(r *http.Request) (SynthRequest, error) {
 	return req, nil
 }
 
-// synthOne validates, synthesises, maps and simulates one spec under its
-// deadline. The caller must already hold an admission slot.
-func (s *Server) synthOne(ctx context.Context, req SynthRequest) (*SynthResponse, error) {
+// resolvedSynth is a SynthRequest after parsing and validation: the
+// machine and the run that maps its synthesised logic.
+type resolvedSynth struct {
+	servedRun
+	machine *bmspec.Machine
+	output  string
+}
+
+// resolveSynth parses and validates one spec request.
+func (s *Server) resolveSynth(ctx context.Context, req SynthRequest) (*resolvedSynth, error) {
 	if strings.TrimSpace(req.Spec) == "" {
 		return nil, badInput(errors.New("empty spec"))
 	}
-	libName := req.Library
-	if libName == "" {
-		libName = s.order[0]
-	}
-	lib, ok := s.libs[libName]
-	if !ok {
-		return nil, badInput(fmt.Errorf("unknown library %q (loaded: %s)", libName, strings.Join(s.order, ", ")))
+	run, err := s.newRun(ctx, req.Library, req.TimeoutMS)
+	if err != nil {
+		return nil, err
 	}
 	output := req.Output
 	switch output {
@@ -181,53 +184,42 @@ func (s *Server) synthOne(ctx context.Context, req SynthRequest) (*SynthResponse
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", synth.ErrBadSpec, err)
 	}
-	entryFrom(ctx).setDesign(m.Name, libName)
+	entryFrom(ctx).setDesign(m.Name, run.libName)
+	return &resolvedSynth{servedRun: run, machine: m, output: output}, nil
+}
 
-	opts := synth.Options{
-		Library: lib,
-		Trials:  req.Trials,
-		Seed:    req.Seed,
-		WithVCD: req.VCD,
-		Map: core.Options{
-			Workers:     s.cfg.MapWorkers,
-			HazardCache: s.cfg.HazardCache,
-			Store:       s.cfg.Store,
-			Metrics:     s.reg,
-			Tracer:      s.cfg.Tracer,
-			RequestID:   RequestIDFromContext(ctx),
-		},
+// synthOne validates, synthesises, maps and simulates one spec under its
+// deadline. The caller must already hold an admission slot.
+func (s *Server) synthOne(ctx context.Context, req SynthRequest) (*SynthResponse, error) {
+	rs, err := s.resolveSynth(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	runCtx, cancel := context.WithTimeout(ctx, timeout)
+	runCtx, cancel := context.WithTimeout(ctx, rs.timeout)
 	defer cancel()
 
 	start := time.Now()
-	res, err := synth.RunMachine(runCtx, m, opts)
+	res, err := synth.RunMachine(runCtx, rs.machine, synth.Options{
+		Library: rs.lib,
+		Trials:  req.Trials,
+		Seed:    req.Seed,
+		WithVCD: req.VCD,
+		Map:     rs.opts,
+	})
 	elapsed := time.Since(start)
 	s.reqSeconds.Observe(elapsed.Seconds())
 	if err != nil {
 		return nil, err
 	}
 	s.designs.Inc()
-	s.roll.synthesize.Observe(res.Durations.Synthesize.Seconds())
-	s.roll.simulate.Observe(res.Durations.Simulate.Seconds())
-	s.roll.decompose.Observe(res.Mapped.Stats.DecomposeTime.Seconds())
-	s.roll.partition.Observe(res.Mapped.Stats.PartitionTime.Seconds())
-	s.roll.cover.Observe(res.Mapped.Stats.CoverTime.Seconds())
-	s.roll.emit.Observe(res.Mapped.Stats.EmitTime.Seconds())
+	s.observeRun(res.Mapped.Stats, res.Durations.Synthesize, res.Durations.Simulate)
 
 	const ms = float64(time.Millisecond)
 	resp := &SynthResponse{
-		RequestID:    opts.Map.RequestID,
-		Name:         m.Name,
-		Library:      libName,
-		States:       len(m.States()),
+		RequestID:    rs.opts.RequestID,
+		Name:         rs.machine.Name,
+		Library:      rs.libName,
+		States:       len(rs.machine.States()),
 		Gates:        res.Mapped.Netlist.GateCount(),
 		Area:         res.Mapped.Area,
 		Delay:        res.Mapped.Delay,
@@ -238,7 +230,7 @@ func (s *Server) synthOne(ctx context.Context, req SynthRequest) (*SynthResponse
 		SimulateMS:   float64(res.Durations.Simulate) / ms,
 		ElapsedMS:    float64(elapsed) / ms,
 	}
-	if output == "netlist" {
+	if rs.output == "netlist" {
 		resp.Netlist = res.Mapped.Netlist.String()
 	}
 	return resp, nil
